@@ -2,9 +2,9 @@ GO ?= go
 BENCHTIME ?= 300ms
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint fmtcheck test race bench benchsmoke bench-json fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
+.PHONY: check build vet lint fmtcheck test benchtest race bench benchsmoke bench-json fuzzsmoke loadsmoke replicasmoke replicabench auditsmoke auditbench settlesmoke
 
-check: build vet lint fmtcheck test race benchsmoke fuzzsmoke loadsmoke replicasmoke auditsmoke settlesmoke
+check: build vet lint fmtcheck test benchtest race benchsmoke fuzzsmoke loadsmoke replicasmoke auditsmoke settlesmoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+
+# benchtest runs the serving benchmark's own tests. servebench is a
+# module of its own, so `go test ./...` never builds it; running them
+# here makes removing an API the benchmark compiles against fail the
+# check instead of the benchmark run.
+benchtest:
+	cd servebench && $(GO) test .
 
 race:
 	$(GO) test -race ./...

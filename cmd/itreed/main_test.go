@@ -11,6 +11,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"incentivetree/internal/core"
+	"incentivetree/internal/experiments"
+	"incentivetree/internal/journal"
+	"incentivetree/internal/obs"
+	"incentivetree/internal/server"
+	"incentivetree/internal/store"
 )
 
 func TestSetupWithSeeds(t *testing.T) {
@@ -34,6 +41,23 @@ func TestSetupWithSeeds(t *testing.T) {
 	defer ts.Close()
 }
 
+// TestSeedRestart: -seed on a persisted data dir joins each name once;
+// later starts with the same flag skip names recovered from disk.
+func TestSeedRestart(t *testing.T) {
+	args := []string{"-data-dir", t.TempDir(), "-seed", "alice"}
+	var out bytes.Buffer
+	d, err := setup(args, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = restart(t, d, args...)
+	d = restart(t, d, args...)
+	defer d.cleanup()
+	if n, seq := d.server.SnapshotState().Tree.NumParticipants(), d.server.LastSeq(); n != 1 || seq != 1 {
+		t.Fatalf("after three starts: %d participants over %d journal events, want one alice join", n, seq)
+	}
+}
+
 func TestSetupErrors(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := setup([]string{"-mechanism", "nope"}, &out); err == nil {
@@ -51,15 +75,33 @@ func TestSetupErrors(t *testing.T) {
 	if _, err := setup([]string{"-epoch-budget", "-0.1"}, &out); err == nil {
 		t.Fatal("negative epoch budget should fail")
 	}
+	if _, err := setup([]string{"-journal-sync", "sometimes"}, &out); err == nil {
+		t.Fatal("bad sync policy should fail")
+	}
+	if _, err := setup([]string{"-batch-max", "-1"}, &out); err == nil {
+		t.Fatal("negative -batch-max should fail")
+	}
+}
+
+// restart stops d (checkpointing every campaign) and starts a fresh
+// daemon with args, as a process restart would.
+func restart(t *testing.T, d *daemon, args ...string) *daemon {
+	t.Helper()
+	d.cleanup()
+	var out bytes.Buffer
+	d2, err := setup(args, &out)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	return d2
 }
 
 func TestSetupJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "events.log")
+	args := []string{"-data-dir", t.TempDir()}
 
 	// First run: write some state through the journal.
 	var out bytes.Buffer
-	d, err := setup([]string{"-journal", wal}, &out)
+	d, err := setup(args, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,98 +114,172 @@ func TestSetupJournalRecovery(t *testing.T) {
 	if err := d.server.Contribute("bo", 4); err != nil {
 		t.Fatal(err)
 	}
-	d.cleanup()
 
-	// Second run: state must come back from the log.
-	out.Reset()
-	d2, err := setup([]string{"-journal", wal}, &out)
-	if err != nil {
-		t.Fatal(err)
+	// Second run: state must come back from disk.
+	d = restart(t, d, args...)
+	if got := d.server.LastSeq(); got != 3 {
+		t.Fatalf("recovered last seq = %d, want 3", got)
 	}
-	defer d2.cleanup()
-	if !strings.Contains(out.String(), "recovered 3 journal events") {
-		t.Fatalf("banner = %q", out.String())
-	}
-	snap := d2.server.SnapshotState()
-	if snap.Tree.Total() != 4 {
-		t.Fatalf("recovered total = %v", snap.Tree.Total())
+	if total := d.server.SnapshotState().Tree.Total(); total != 4 {
+		t.Fatalf("recovered total = %v", total)
 	}
 	// New writes continue the sequence.
-	if err := d2.server.Contribute("ada", 1); err != nil {
+	if err := d.server.Contribute("ada", 1); err != nil {
 		t.Fatal(err)
 	}
-	d2.cleanup()
-	data, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(data), "\n"); got != 4 {
-		t.Fatalf("journal lines = %d, want 4", got)
+	d = restart(t, d, args...)
+	defer d.cleanup()
+	if got, total := d.server.LastSeq(), d.server.SnapshotState().Tree.Total(); got != 4 || total != 5 {
+		t.Fatalf("after append + restart: last seq %d total %v, want 4 and 5", got, total)
 	}
 }
 
-func TestSetupRejectsMidLogCorruption(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "bad.log")
-	corrupt := "garbage\n" + `{"seq":1,"kind":"join","name":"ada"}` + "\n"
-	if err := os.WriteFile(wal, []byte(corrupt), 0o600); err != nil {
+// defaultJournal initialises a data dir (one start and stop, which
+// provisions the default campaign), writes data as the default
+// campaign's journal.log, and returns the daemon args and journal
+// path. This is the documented migration of a flat -journal file from
+// earlier releases.
+func defaultJournal(t *testing.T, data []byte, flags ...string) ([]string, string) {
+	t.Helper()
+	args := append([]string{"-data-dir", t.TempDir()}, flags...)
+	var out bytes.Buffer
+	d, err := setup(args, &out)
+	if err != nil {
 		t.Fatal(err)
 	}
+	d.cleanup()
+	path := filepath.Join(args[1], "campaigns", store.DefaultID, "journal.log")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return args, path
+}
+
+func TestSetupRejectsMidLogCorruption(t *testing.T) {
+	args, _ := defaultJournal(t, []byte("garbage\n"+`{"seq":1,"kind":"join","name":"ada"}`+"\n"))
 	var out bytes.Buffer
-	if _, err := setup([]string{"-journal", wal}, &out); err == nil {
+	if _, err := setup(args, &out); err == nil {
 		t.Fatal("mid-log corruption should fail startup")
 	}
 }
 
 func TestSetupRepairsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "torn.log")
 	good := `{"seq":1,"kind":"join","name":"ada"}` + "\n" +
 		`{"seq":2,"kind":"contribute","name":"ada","amount":2}` + "\n"
-	torn := good + `{"seq":3,"kind":"contrib` // crash mid-append
-	if err := os.WriteFile(wal, []byte(torn), 0o600); err != nil {
-		t.Fatal(err)
-	}
+	args, path := defaultJournal(t, []byte(good+`{"seq":3,"kind":"contrib`)) // crash mid-append
 
+	torn := obs.Default().Counter("itree_journal_torn_tails_total", "").Value()
 	var out bytes.Buffer
-	d, err := setup([]string{"-journal", wal}, &out)
+	d, err := setup(args, &out)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
-	if !strings.Contains(out.String(), "torn tail") || !strings.Contains(out.String(), "recovered 2 journal events") {
-		t.Fatalf("banner = %q", out.String())
+	if got := obs.Default().Counter("itree_journal_torn_tails_total", "").Value(); got != torn+1 {
+		t.Fatalf("torn tails counted %d, want 1", got-torn)
 	}
-	// The partial line is gone from disk, and appends continue the
-	// sequence on a clean line.
+	// The partial record is gone from disk, and appends continue the
+	// sequence.
+	if data, err := os.ReadFile(path); err != nil || string(data) != good {
+		t.Fatalf("repaired log = %q (%v), want %q", data, err, good)
+	}
 	if err := d.server.Contribute("ada", 3); err != nil {
 		t.Fatal(err)
 	}
-	d.cleanup()
-	data, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := good + `{"seq":3,"kind":"contribute","name":"ada","amount":3}` + "\n"
-	if string(data) != want {
-		t.Fatalf("repaired log =\n%q\nwant\n%q", data, want)
+	if got := d.server.LastSeq(); got != 3 {
+		t.Fatalf("appended seq = %d, want 3", got)
 	}
 
 	// Restart once more: fully clean recovery.
-	out.Reset()
-	d2, err := setup([]string{"-journal", wal}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.cleanup()
-	if snap := d2.server.SnapshotState(); snap.Tree.Total() != 5 {
-		t.Fatalf("recovered total = %v, want 5", snap.Tree.Total())
+	d = restart(t, d, args...)
+	defer d.cleanup()
+	if snap := d.server.SnapshotState(); snap.Tree.Total() != 5 || snap.LastSeq != 3 {
+		t.Fatalf("recovered total %v at seq %d, want 5 at 3", snap.Tree.Total(), snap.LastSeq)
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	dir := t.TempDir()
+// TestMigrateLegacyJournal walks the documented migration of a flat
+// JSON-lines journal (what earlier releases' -journal flag wrote, torn
+// tail included) into a data dir: the recovered default campaign must
+// match a direct server.Recover of the same events byte for byte.
+func TestMigrateLegacyJournal(t *testing.T) {
+	var buf bytes.Buffer
+	w := journal.NewWriter(&buf, 1)
+	events := []journal.Event{
+		{Kind: journal.KindJoin, Name: "ada"},
+		{Kind: journal.KindJoin, Name: "bo", Sponsor: "ada"},
+		{Kind: journal.KindJoin, Name: "cy", Sponsor: "bo"},
+		{Kind: journal.KindContribute, Name: "ada", Amount: 2},
+		{Kind: journal.KindContribute, Name: "bo", Amount: 3.5},
+		{Kind: journal.KindJoin, Name: "dee", Sponsor: "ada"},
+		{Kind: journal.KindContribute, Name: "cy", Amount: 1.25},
+		{Kind: journal.KindContribute, Name: "dee", Amount: 4},
+	}
+	if _, err := w.AppendBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Len()
+	buf.WriteString(`{"seq":9,"kind":"contribute","na`) // torn final record
+	flags := []string{"-mechanism", "geometric", "-phi", "0.4", "-fair", "0.04"}
+	args, path := defaultJournal(t, buf.Bytes(), flags...)
+
+	// The reference: the same events recovered straight into a server.
+	recovered, err := journal.Read(bytes.NewReader(buf.Bytes()[:good]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := experiments.ByName(core.Params{Phi: 0.4, FairShare: 0.04}, "geometric")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := server.New(m)
+	if err := server.Recover(ref, nil, recovered); err != nil {
+		t.Fatal(err)
+	}
+
 	var out bytes.Buffer
-	d, err := setup([]string{"-mechanism", "geometric", "-journal", filepath.Join(dir, "w.log")}, &out)
+	d, err := setup(args, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.server.LastSeq(), ref.LastSeq(); got != want || got != uint64(len(events)) {
+		t.Fatalf("last seq = %d, want %d", got, want)
+	}
+	if got, want := d.server.SnapshotState().Tree.Total(), ref.SnapshotState().Tree.Total(); got != want {
+		t.Fatalf("C(T) = %v, want %v", got, want)
+	}
+	if got, want := getBody(t, d.handler, "/v1/rewards"), getBody(t, ref.Handler(), "/v1/rewards"); !bytes.Equal(got, want) {
+		t.Fatalf("/v1/rewards =\n%s\nwant\n%s", got, want)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(good) {
+		t.Fatalf("journal not truncated to its %d complete bytes: %v %v", good, fi, err)
+	}
+
+	// New appends continue the sequence (as binary records) and survive
+	// a restart.
+	if err := d.server.Contribute("bo", 1); err != nil {
+		t.Fatal(err)
+	}
+	d = restart(t, d, args...)
+	defer d.cleanup()
+	if got, total := d.server.LastSeq(), d.server.SnapshotState().Tree.Total(); got != 9 || total != 11.75 {
+		t.Fatalf("after append + restart: last seq %d total %v, want 9 and 11.75", got, total)
+	}
+}
+
+// getBody GETs path from h and returns the 200 response body.
+func getBody(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+func TestMetricsEndpoint(t *testing.T) {
+	var out bytes.Buffer
+	d, err := setup([]string{"-mechanism", "geometric", "-data-dir", t.TempDir()}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +319,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := buf.String()
 	// The acceptance surface: per-route latency histograms, journal
 	// counters, incremental-engine counters, and the budget gauge. The
-	// registry is process-wide, so assert presence, not exact counts.
+	// registry is process-wide, so assert presence, not exact counts —
+	// except for the default campaign's domain gauges, which this
+	// daemon registered last.
 	for _, want := range []string{
 		`itree_http_requests_total{code="2xx",route="POST /v1/join"}`,
 		`itree_http_requests_total{code="4xx",route="POST /v1/contribute"}`,
@@ -213,9 +331,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"itree_journal_append_bytes_total",
 		"itree_journal_torn_tails_total",
 		"# TYPE itree_incremental_ops_total counter",
-		"itree_participants 1",
-		"itree_budget_utilization",
-		"itree_contribution_total 2",
+		`itree_participants{campaign="default"} 1`,
+		`itree_budget_utilization{campaign="default"}`,
+		`itree_contribution_total{campaign="default"} 2`,
 		"# TYPE itree_mechanism_rewards_seconds histogram",
 		`mechanism_rewards_seconds_count{mechanism="Geometric(`,
 	} {
@@ -226,10 +344,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestRunServesAndDrainsOnSignal(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "events.log")
+	dataDir := t.TempDir()
 	var out bytes.Buffer
-	d, err := setup([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-journal", wal}, &out)
+	d, err := setup([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-data-dir", dataDir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +403,9 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline status = %d", resp.StatusCode)
 	}
 
-	// Graceful shutdown: run returns cleanly, the WAL survives intact.
+	// Graceful shutdown: run returns cleanly, and the join survives into
+	// the next start (the close checkpoints, so the journal itself is
+	// compacted away).
 	cancel()
 	select {
 	case err := <-done:
@@ -299,13 +418,10 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 	if !strings.Contains(runOut.String(), "drained") {
 		t.Fatalf("run output = %q", runOut.String())
 	}
-	d.cleanup()
-	data, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"name":"ada"`) {
-		t.Fatalf("journal lost the join: %q", data)
+	d = restart(t, d, "-data-dir", dataDir)
+	defer d.cleanup()
+	if !d.server.Has("ada") || d.server.LastSeq() != 1 {
+		t.Fatalf("restart lost the join: last seq %d", d.server.LastSeq())
 	}
 }
 
@@ -321,18 +437,6 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d", path, resp.StatusCode)
 		}
-	}
-}
-
-func TestSetupRejectsJournalWithDataDir(t *testing.T) {
-	var out bytes.Buffer
-	dir := t.TempDir()
-	_, err := setup([]string{"-journal", filepath.Join(dir, "w.log"), "-data-dir", dir}, &out)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := setup([]string{"-journal-sync", "sometimes"}, &out); err == nil {
-		t.Fatal("bad sync policy should fail")
 	}
 }
 
@@ -419,7 +523,6 @@ func TestSetupFollowerFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-role", "follower"}, // no -primary
 		{"-role", "follower", "-primary", "http://x", "-data-dir", "d"},        // no disk state
-		{"-role", "follower", "-primary", "http://x", "-journal", "w.log"},     // no disk state
 		{"-role", "follower", "-primary", "http://x", "-seed", "a"},            // read-only
 		{"-role", "follower", "-primary", "http://x", "-epoch-interval", "1s"}, // followers do not settle
 		{"-role", "chief"},       // unknown role
@@ -542,5 +645,40 @@ func TestFollowerDaemonReplicatesPrimary(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("follower /metrics missing %s", want)
 		}
+	}
+}
+
+// TestIncrementalCampaignUsesEngine: a campaign created with
+// "incremental": true gets its engine even though itreed wraps every
+// mechanism in experiments.Instrumented.
+func TestIncrementalCampaignUsesEngine(t *testing.T) {
+	var out bytes.Buffer
+	d, err := setup([]string{"-data-dir", t.TempDir()}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.cleanup()
+	ops := func() uint64 {
+		var n uint64
+		for _, op := range []string{"join", "contribute"} {
+			n += obs.Default().Counter("itree_incremental_ops_total", "", "engine", "cdrm", "op", op).Value()
+		}
+		return n
+	}
+	before := ops()
+	for _, req := range []struct{ path, body string }{
+		{"/v1/campaigns", `{"id":"zeta","mechanism":"cdrm-reciprocal","incremental":true}`},
+		{"/v1/campaigns/zeta/join", `{"name":"ada"}`},
+		{"/v1/campaigns/zeta/join", `{"name":"bo","sponsor":"ada"}`},
+		{"/v1/campaigns/zeta/contribute", `{"name":"bo","amount":2}`},
+	} {
+		rec := httptest.NewRecorder()
+		d.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		if rec.Code >= 300 {
+			t.Fatalf("POST %s = %d: %s", req.path, rec.Code, rec.Body)
+		}
+	}
+	if got := ops() - before; got != 3 {
+		t.Fatalf("incremental engine ops = %d, want 3 (2 joins + 1 contribute)", got)
 	}
 }

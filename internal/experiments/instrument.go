@@ -52,6 +52,10 @@ type timedMechanism struct {
 func (t *timedMechanism) Name() string        { return t.inner.Name() }
 func (t *timedMechanism) Params() core.Params { return t.inner.Params() }
 
+// Unwrap returns the wrapped mechanism, so incremental.ForMechanism can
+// still attach an engine to an instrumented Geometric or CDRM campaign.
+func (t *timedMechanism) Unwrap() core.Mechanism { return t.inner }
+
 func (t *timedMechanism) Rewards(tr *tree.Tree) (core.Rewards, error) {
 	// The pre-increment count doubles as the sampling phase: the first
 	// evaluation is always timed, then every sampleEvery-th after it.

@@ -88,7 +88,7 @@ type Engine interface {
 // are better served by per-read full evaluation than by FullEngine's
 // per-write recomputation.
 func ForMechanism(m core.Mechanism) (Engine, bool) {
-	switch mech := m.(type) {
+	switch mech := unwrap(m).(type) {
 	case *geometric.Mechanism:
 		return NewGeometric(mech), true
 	case *cdrm.Mechanism:
@@ -102,13 +102,23 @@ func ForMechanism(m core.Mechanism) (Engine, bool) {
 // caller must route all further writes through the engine — with its
 // per-node reward state rebuilt in O(n).
 func ForTree(m core.Mechanism, t *tree.Tree) (Engine, bool) {
-	switch mech := m.(type) {
+	switch mech := unwrap(m).(type) {
 	case *geometric.Mechanism:
 		return NewGeometricFromTree(mech, t), true
 	case *cdrm.Mechanism:
 		return NewCDRMFromTree(mech, t), true
 	}
 	return nil, false
+}
+
+// unwrap looks through a mechanism wrapper — one with an
+// Unwrap() core.Mechanism method, such as the daemon's instrumentation —
+// to the concrete mechanism the engines are built for.
+func unwrap(m core.Mechanism) core.Mechanism {
+	if w, ok := m.(interface{ Unwrap() core.Mechanism }); ok {
+		return w.Unwrap()
+	}
+	return m
 }
 
 // GeometricEngine incrementally maintains the (a,b)-Geometric mechanism.

@@ -18,22 +18,13 @@ import (
 //	itree_journal_last_seq     last persisted journal sequence number
 //
 // Gauges are computed at scrape time under the server's read lock; the
-// reward gauges cost one O(n) mechanism evaluation per scrape. If
-// several servers share one registry without distinguishing labels, the
-// gauges describe the server registered last — multi-tenant callers
-// should use WithMetricsLabels instead.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(s *Server) {
-		s.metrics = reg
-		s.registerGauges(reg)
-	}
-}
-
-// WithMetricsLabels is WithMetrics with a fixed label set (variadic
-// key/value pairs, e.g. "campaign", id) stamped on every domain gauge,
-// so many deployments — the store's campaigns — can share one registry
-// without clobbering each other's series.
-func WithMetricsLabels(reg *obs.Registry, labels ...string) Option {
+// reward gauges cost one O(n) mechanism evaluation per scrape. labels
+// (key/value pairs, e.g. "campaign", id) are stamped on every domain
+// gauge and ingest metric, so many deployments — the store's campaigns
+// — can share one registry without clobbering each other's series.
+// Without labels, servers sharing a registry overwrite each other's
+// gauges: the last one registered wins.
+func WithMetrics(reg *obs.Registry, labels ...string) Option {
 	return func(s *Server) {
 		s.metrics = reg
 		s.labels = labels
@@ -65,7 +56,7 @@ var domainGauges = []string{
 }
 
 // UnregisterMetrics removes the domain-gauge series registered under
-// the given label set — the inverse of WithMetricsLabels, used when a
+// the given label set — the inverse of WithMetrics, used when a
 // campaign is deleted.
 func UnregisterMetrics(reg *obs.Registry, labels ...string) {
 	for _, name := range domainGauges {

@@ -50,7 +50,7 @@ type Server struct {
 	mech      core.Mechanism
 	journal   *journal.Writer
 	metrics   *obs.Registry // nil = uninstrumented
-	labels    []string      // metric labels from WithMetricsLabels
+	labels    []string      // metric labels from WithMetrics
 	useEngine bool          // WithIncremental requested
 	batching  *ingest.Options
 	committer *ingest.Committer        // non-nil iff WithBatching
@@ -242,6 +242,14 @@ func (s *Server) handleParticipant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, p)
+}
+
+// Has reports whether a participant with the given name has joined.
+func (s *Server) Has(name string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.byKey[name]
+	return ok
 }
 
 // participant evaluates the mechanism and returns one participant's view.

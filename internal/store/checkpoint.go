@@ -163,7 +163,7 @@ const (
 // A crash before step 2's rename leaves the old snapshot + full
 // journal; after it, the new snapshot + a journal whose covered prefix
 // is dropped during recovery by sequence-number filtering. No window
-// loses events. Campaigns without a store-managed journal are no-ops.
+// loses events. Ephemeral campaigns are no-ops.
 func (st *Store) Checkpoint(c *Campaign) (reclaimed int64, err error) {
 	if c.fw == nil {
 		return 0, nil
@@ -344,8 +344,8 @@ func readSnapshot(dir string) (*server.Snapshot, error) {
 }
 
 // recoverJournal reads a journal file, repairing a torn tail by
-// truncating the partial final line so appends can continue. A missing
-// file is an empty journal.
+// truncating the partial final record (and logging the repair) so
+// appends can continue. A missing file is an empty journal.
 func recoverJournal(path string) ([]journal.Event, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -362,6 +362,7 @@ func recoverJournal(path string) ([]journal.Event, error) {
 		if terr := os.Truncate(path, torn.Offset); terr != nil {
 			return nil, fmt.Errorf("truncate torn tail: %w", terr)
 		}
+		log.Printf("store: %s: %v; truncated to %d complete events", path, err, len(events))
 	default:
 		return nil, err
 	}

@@ -164,23 +164,6 @@ func TestShedOverStoreHandler(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabled: a negative BatchMax turns the pipeline off;
-// writes go straight through and the queue always reads empty.
-func TestBatchingDisabled(t *testing.T) {
-	cfg := testConfig(t.TempDir())
-	cfg.BatchMax = -1
-	st := openStore(t, cfg)
-	h := st.Handler()
-
-	if code := do(t, h, "POST", "/v1/join", `{"name":"solo"}`, nil); code != http.StatusCreated {
-		t.Fatalf("join: %d", code)
-	}
-	c, _ := st.Get(DefaultID)
-	if n := c.Server().IngestQueueLen(); n != 0 {
-		t.Fatalf("queue len without batching = %d", n)
-	}
-}
-
 // TestBatchedWritesAcrossCampaigns: each campaign gets its own
 // committer; concurrent writes land in the right journals and survive
 // a store reopen.

@@ -14,7 +14,7 @@ import (
 const journalFile = "journal.log"
 
 // journalPath locates the campaign's journal file; empty for
-// ephemeral or caller-managed campaigns, which cannot stream.
+// ephemeral campaigns, which cannot stream.
 func (c *Campaign) journalPath() string {
 	if c.dir == "" {
 		return ""
@@ -94,7 +94,7 @@ func (st *Store) Adopt(meta replica.Meta, snap server.Snapshot) (replica.Applier
 	}}
 	var opts []server.Option
 	if st.cfg.Metrics != nil {
-		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", meta.ID))
+		opts = append(opts, server.WithMetrics(st.cfg.Metrics, "campaign", meta.ID))
 	}
 	if st.cfg.EpochBudget != 0 {
 		// Followers never settle locally, but /v1/epochs reports the

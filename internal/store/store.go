@@ -93,10 +93,9 @@ type Config struct {
 	// SyncInterval is the flush period under journal.SyncInterval.
 	SyncInterval time.Duration
 	// BatchMax caps operations per group commit in each campaign's
-	// ingest pipeline (see internal/ingest). Zero means
-	// ingest.DefaultBatchMax; 1 commits per event in arrival order
-	// (byte-identical journals to the unbatched path); negative
-	// disables the pipeline entirely and writes apply inline.
+	// ingest pipeline (see internal/ingest); every campaign write goes
+	// through that pipeline. Zero means ingest.DefaultBatchMax; 1
+	// commits per event in arrival order.
 	BatchMax int
 	// BatchWait is how long a committer waits to fill a batch after its
 	// first operation (0 = commit as soon as the queue stops yielding).
@@ -136,11 +135,6 @@ type Config struct {
 	// "default" campaign (empty mechanism name means "tdrm").
 	DefaultMechanism string
 	DefaultParams    core.Params
-	// DefaultServer, when set, is adopted as the "default" campaign
-	// instead of creating one. Its persistence (if any) is managed by
-	// the caller, not the store — cmd/itreed uses this to keep the
-	// legacy flat-file -journal mode byte-compatible.
-	DefaultServer *server.Server
 	// Follower marks the store as a replication follower: campaigns are
 	// installed by a replica.Manager (Adopt/Drop) rather than created
 	// locally, no default campaign is provisioned, and DataDir must be
@@ -166,7 +160,7 @@ type Campaign struct {
 	srv     *server.Server
 	handler http.Handler        // cached srv.Handler()
 	dir     string              // "" = ephemeral
-	fw      *journal.FileWriter // nil = ephemeral or caller-managed
+	fw      *journal.FileWriter // nil = ephemeral
 	auditor *audit.Auditor      // nil = audit service disabled
 
 	// cpMu serializes checkpoints of this campaign.
@@ -255,20 +249,15 @@ type Store struct {
 
 // Open builds a store from cfg and, when cfg.DataDir is set, recovers
 // every campaign found on disk (snapshot + journal suffix, tolerating
-// torn tails). The "default" campaign is created (or adopted from
-// cfg.DefaultServer) if it does not exist yet. Call Run to start the
-// background checkpointer and Close to flush and release journals.
+// torn tails). The "default" campaign is created if it does not exist
+// yet. Call Run to start the background checkpointer and Close to flush
+// and release journals.
 func Open(cfg Config) (*Store, error) {
-	if cfg.NewMechanism == nil && cfg.DefaultServer == nil {
+	if cfg.NewMechanism == nil {
 		return nil, errors.New("store: Config.NewMechanism is required")
 	}
-	if cfg.Follower {
-		if cfg.DataDir != "" {
-			return nil, errors.New("store: a follower store cannot have a DataDir (state is replicated, not persisted)")
-		}
-		if cfg.DefaultServer != nil {
-			return nil, errors.New("store: a follower store cannot adopt a DefaultServer")
-		}
+	if cfg.Follower && cfg.DataDir != "" {
+		return nil, errors.New("store: a follower store cannot have a DataDir (state is replicated, not persisted)")
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -333,18 +322,7 @@ func Open(cfg Config) (*Store, error) {
 		// Campaigns arrive via Adopt once the replica.Manager syncs.
 		return st, nil
 	}
-	if cfg.DefaultServer != nil {
-		if _, ok := st.Get(DefaultID); ok {
-			return nil, fmt.Errorf("store: %s campaign exists on disk and a DefaultServer was supplied", DefaultID)
-		}
-		c := &Campaign{
-			Meta: Meta{ID: DefaultID, Mechanism: cfg.DefaultMechanism, Params: cfg.DefaultParams},
-			srv:  cfg.DefaultServer,
-		}
-		c.handler = c.srv.Handler()
-		st.put(c)
-		st.attachAudit(c)
-	} else if _, ok := st.Get(DefaultID); !ok {
+	if _, ok := st.Get(DefaultID); !ok {
 		if _, err := st.Create(Meta{ID: DefaultID, Mechanism: cfg.DefaultMechanism, Params: cfg.DefaultParams}); err != nil {
 			return nil, fmt.Errorf("store: default campaign: %w", err)
 		}
@@ -475,14 +453,15 @@ func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
 }
 
 // serverOptions assembles the per-campaign server options: journal
-// writer (starting at nextSeq), labelled metrics, incremental engine.
+// writer (starting at nextSeq), labelled metrics, incremental engine,
+// ingest pipeline.
 func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	var opts []server.Option
 	if c.fw != nil {
 		opts = append(opts, server.WithJournal(journal.NewWriterMode(c.fw, nextSeq, st.mode)))
 	}
 	if st.cfg.Metrics != nil {
-		opts = append(opts, server.WithMetricsLabels(st.cfg.Metrics, "campaign", c.Meta.ID))
+		opts = append(opts, server.WithMetrics(st.cfg.Metrics, "campaign", c.Meta.ID))
 	}
 	if c.Meta.Incremental {
 		opts = append(opts, server.WithIncremental())
@@ -490,14 +469,11 @@ func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	if st.cfg.EpochBudget != 0 {
 		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))
 	}
-	if st.cfg.BatchMax >= 0 {
-		opts = append(opts, server.WithBatching(ingest.Options{
-			BatchMax:   st.cfg.BatchMax,
-			BatchWait:  st.cfg.BatchWait,
-			QueueDepth: st.cfg.QueueDepth,
-		}))
-	}
-	return opts
+	return append(opts, server.WithBatching(ingest.Options{
+		BatchMax:   st.cfg.BatchMax,
+		BatchWait:  st.cfg.BatchWait,
+		QueueDepth: st.cfg.QueueDepth,
+	}))
 }
 
 // Delete removes a campaign from the store, closes its journal, and
