@@ -59,17 +59,19 @@ bench:
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# fuzzsmoke runs each native fuzz target of the binary codecs for
-# FUZZTIME: the journal record decoder and the snapshot codec must
-# reject arbitrary corruption cleanly and round-trip accepted input
-# byte-identically. Corpus finds are kept under testdata/fuzz/ by go
-# test; commit any that reproduce bugs.
+# fuzzsmoke runs each native fuzz target for FUZZTIME: the journal
+# record decoder and the snapshot codec must reject arbitrary
+# corruption cleanly and round-trip accepted input byte-identically,
+# and a live server must hold exactly the state its journal replays
+# to (FuzzLiveMatchesReplay). Corpus finds are kept under
+# testdata/fuzz/ by go test; commit any that reproduce bugs.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzEventConstructive -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzSettleRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzLiveMatchesReplay -fuzztime=$(FUZZTIME) ./internal/server/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
 # itreeload burst through the batched ingest pipeline, and verifies

@@ -238,7 +238,9 @@ func BenchmarkGrowthSimulation(b *testing.B) {
 
 // BenchmarkIncrementalVsFull contrasts O(depth) incremental reward
 // maintenance with O(n) full re-evaluation on a growing campaign — the
-// ablation for the live-service write path.
+// ablation for the live-service write path. Both sides grow the tree
+// with tree.Add; incremental then notifies an observing engine, full
+// re-evaluates the mechanism after every write.
 func BenchmarkIncrementalVsFull(b *testing.B) {
 	p := core.DefaultParams()
 	geo, err := geometric.Default(p)
@@ -246,31 +248,42 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	const joins = 2000
-	workload := func(b *testing.B, e incremental.Engine) {
+	// workload joins under random parents and, after each join, has read
+	// serve one random participant's reward, told the id just joined.
+	workload := func(b *testing.B, t *tree.Tree, read func(joined, u tree.NodeID) error) {
 		b.Helper()
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < joins; i++ {
-			parent := tree.NodeID(rng.Intn(e.Tree().Len()))
-			if _, err := e.Join(parent, rng.Float64()*3); err != nil {
+			id, err := t.Add(tree.NodeID(rng.Intn(t.Len())), rng.Float64()*3)
+			if err != nil {
 				b.Fatal(err)
 			}
-			_ = e.Reward(tree.NodeID(1 + rng.Intn(e.Tree().NumParticipants())))
+			if err := read(id, tree.NodeID(1+rng.Intn(t.NumParticipants()))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			workload(b, incremental.NewGeometric(geo))
+			t := tree.New()
+			e := incremental.NewGeometricFromTree(geo, t)
+			workload(b, t, func(joined, u tree.NodeID) error {
+				e.Joined(joined)
+				_ = e.Reward(u)
+				return nil
+			})
 		}
 	})
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e, err := incremental.NewFull(geo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			workload(b, e)
+			t := tree.New()
+			workload(b, t, func(_, u tree.NodeID) error {
+				r, err := geo.Rewards(t)
+				_ = r.Of(u)
+				return err
+			})
 		}
 	})
 }

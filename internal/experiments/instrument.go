@@ -52,7 +52,7 @@ type timedMechanism struct {
 func (t *timedMechanism) Name() string        { return t.inner.Name() }
 func (t *timedMechanism) Params() core.Params { return t.inner.Params() }
 
-// Unwrap returns the wrapped mechanism, so incremental.ForMechanism can
+// Unwrap returns the wrapped mechanism, so incremental.ForTree can
 // still attach an engine to an instrumented Geometric or CDRM campaign.
 func (t *timedMechanism) Unwrap() core.Mechanism { return t.inner }
 

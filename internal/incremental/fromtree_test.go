@@ -7,18 +7,17 @@ import (
 	"incentivetree/internal/cdrm"
 	"incentivetree/internal/core"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/numeric"
 	"incentivetree/internal/tdrm"
 	"incentivetree/internal/tree"
 )
 
-func TestForMechanism(t *testing.T) {
+func TestForTreeSelectsEngine(t *testing.T) {
 	p := core.DefaultParams()
 	gm, err := geometric.Default(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := ForMechanism(gm); !ok {
+	if e, ok := ForTree(gm, tree.New()); !ok {
 		t.Error("geometric should get an engine")
 	} else if _, isGeo := e.(*GeometricEngine); !isGeo {
 		t.Errorf("geometric engine type = %T", e)
@@ -27,7 +26,7 @@ func TestForMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := ForMechanism(cm); !ok {
+	if e, ok := ForTree(cm, tree.New()); !ok {
 		t.Error("cdrm should get an engine")
 	} else if _, isCDRM := e.(*CDRMEngine); !isCDRM {
 		t.Errorf("cdrm engine type = %T", e)
@@ -36,7 +35,7 @@ func TestForMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := ForMechanism(tm); ok {
+	if e, ok := ForTree(tm, tree.New()); ok {
 		t.Errorf("tdrm has no local decomposition, got %T", e)
 	}
 }
@@ -73,40 +72,18 @@ func TestForTreeMatchesFullEvaluation(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no engine", mech.Name())
 		}
-		if e.Tree() != tr {
-			t.Fatalf("%s: engine must adopt the given tree", mech.Name())
-		}
-		check := func(when string) {
-			want, err := mech.Rewards(e.Tree())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := e.Rewards()
-			if len(got) != len(want) {
-				t.Fatalf("%s %s: %d rewards, want %d", mech.Name(), when, len(got), len(want))
-			}
-			for id := range want {
-				if !numeric.AlmostEqual(got[id], want[id], 1e-9) {
-					t.Fatalf("%s %s node %d: rebuilt %v != full %v", mech.Name(), when, id, got[id], want[id])
-				}
-			}
-		}
-		check("after rebuild")
+		o := observed{t, e, tr}
+		o.matchesFull(mech.Name() + " after rebuild")
 		// The rebuilt state must absorb new writes, not just reads.
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 50; i++ {
 			if rng.Float64() < 0.5 {
-				if _, err := e.Join(tree.NodeID(rng.Intn(e.Tree().Len())), rng.Float64()); err != nil {
-					t.Fatal(err)
-				}
+				o.join(tree.NodeID(rng.Intn(tr.Len())), rng.Float64())
 			} else {
-				u := tree.NodeID(1 + rng.Intn(e.Tree().NumParticipants()))
-				if err := e.AddContribution(u, rng.Float64()); err != nil {
-					t.Fatal(err)
-				}
+				o.contribute(tree.NodeID(1+rng.Intn(tr.NumParticipants())), rng.Float64())
 			}
 		}
-		check("after further writes")
+		o.matchesFull(mech.Name() + " after further writes")
 	}
 }
 
@@ -115,7 +92,8 @@ func TestForTreeEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := ForTree(gm, tree.New())
+	tr := tree.New()
+	e, ok := ForTree(gm, tr)
 	if !ok {
 		t.Fatal("no engine for empty tree")
 	}
@@ -124,7 +102,7 @@ func TestForTreeEmptyTree(t *testing.T) {
 	if r := e.Rewards(); len(r) != 1 || r[0] != 0 {
 		t.Fatalf("empty tree rewards = %v", r)
 	}
-	if _, err := e.Join(tree.Root, 1); err != nil {
-		t.Fatal(err)
-	}
+	o := observed{t, e, tr}
+	o.join(tree.Root, 1)
+	o.matchesFull("after first join")
 }

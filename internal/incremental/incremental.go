@@ -1,11 +1,13 @@
 // Package incremental maintains Incentive Tree rewards under a stream of
 // joins and contribution updates without recomputing the whole tree.
 //
-// A live referral service (internal/server, cmd/itreed) processes two
-// kinds of writes — "join" and "contribute" — and serves reward reads
-// between them. Recomputing R(u) for all u is O(n) per read; the engines
-// here exploit the recursive structure of the mechanisms to keep per-node
-// reward state that a write updates in O(depth):
+// An engine is an observer: it reads a referral tree that someone else
+// changes (the live service applies every write through journal.State)
+// and is told after each change — Joined(u) once u is in the tree,
+// Contributed(u, delta) once C(u) has grown by delta. Recomputing R(u)
+// for all u is O(n) per read; the engines exploit the recursive
+// structure of the mechanisms to keep per-node reward state that each
+// notification updates in O(depth):
 //
 //   - Geometric: R(u) = b*S(u) with S(u) = C(u) + a*sum_children S, so a
 //     contribution delta at v adds a^dist * delta to S along v's ancestor
@@ -19,7 +21,6 @@
 package incremental
 
 import (
-	"fmt"
 	"time"
 
 	"incentivetree/internal/cdrm"
@@ -61,46 +62,28 @@ var (
 	geoContrib  = newOpRecorder("geometric", "contribute")
 	cdrmJoinOps = newOpRecorder("cdrm", "join")
 	cdrmContrib = newOpRecorder("cdrm", "contribute")
-	fullJoinOps = newOpRecorder("full", "join")
-	fullContrib = newOpRecorder("full", "contribute")
 )
 
-// Engine maintains a referral tree and serves rewards under writes.
+// Engine maintains rewards over a referral tree it does not own. The
+// tree's owner changes the tree first and then notifies the engine.
 type Engine interface {
-	// Join adds a participant under parent with contribution c.
-	Join(parent tree.NodeID, c float64) (tree.NodeID, error)
-	// AddContribution increases a participant's contribution.
-	AddContribution(u tree.NodeID, delta float64) error
+	// Joined records that participant u was added to the tree.
+	Joined(u tree.NodeID)
+	// Contributed records that C(u) grew by delta.
+	Contributed(u tree.NodeID, delta float64)
 	// Reward returns the current R(u) in O(1).
 	Reward(u tree.NodeID) float64
 	// Rewards snapshots all rewards.
 	Rewards() core.Rewards
-	// Tree exposes the maintained referral tree (read-only by
-	// convention).
-	Tree() *tree.Tree
 	// Mechanism returns the mechanism whose rewards are maintained.
 	Mechanism() core.Mechanism
 }
 
-// ForMechanism returns an empty incremental engine when m's rewards
-// admit O(depth) maintenance (Geometric, CDRM family), and (nil, false)
-// otherwise. Mechanisms that need global structure (TDRM, L-Pachira)
-// are better served by per-read full evaluation than by FullEngine's
-// per-write recomputation.
-func ForMechanism(m core.Mechanism) (Engine, bool) {
-	switch mech := unwrap(m).(type) {
-	case *geometric.Mechanism:
-		return NewGeometric(mech), true
-	case *cdrm.Mechanism:
-		return NewCDRM(mech), true
-	}
-	return nil, false
-}
-
-// ForTree is ForMechanism for a pre-existing tree (e.g. a restored
-// snapshot): the returned engine adopts t — ownership transfers, the
-// caller must route all further writes through the engine — with its
-// per-node reward state rebuilt in O(n).
+// ForTree returns an engine observing t, with its per-node reward state
+// built from t in O(n), when m's rewards admit O(depth) maintenance
+// (Geometric, CDRM family), and (nil, false) otherwise. Mechanisms that
+// need global structure (TDRM, L-Pachira) are better served by per-read
+// full evaluation.
 func ForTree(m core.Mechanism, t *tree.Tree) (Engine, bool) {
 	switch mech := unwrap(m).(type) {
 	case *geometric.Mechanism:
@@ -128,14 +111,9 @@ type GeometricEngine struct {
 	s    []float64 // weighted subtree sums: R(u) = b * s[u]
 }
 
-// NewGeometric starts an empty engine for m.
-func NewGeometric(m *geometric.Mechanism) *GeometricEngine {
-	return &GeometricEngine{mech: m, t: tree.New(), s: []float64{0}}
-}
-
-// NewGeometricFromTree adopts an existing tree, rebuilding the weighted
-// subtree sums S(u) = C(u) + a*sum_children S in O(n). Valid trees have
-// topological ids (parent < child), so one descending pass suffices.
+// NewGeometricFromTree observes t, building the weighted subtree sums
+// S(u) = C(u) + a*sum_children S in O(n). Valid trees have topological
+// ids (parent < child), so one descending pass suffices.
 func NewGeometricFromTree(m *geometric.Mechanism, t *tree.Tree) *GeometricEngine {
 	e := &GeometricEngine{mech: m, t: t, s: make([]float64, t.Len())}
 	for u := tree.NodeID(t.Len() - 1); u > tree.Root; u-- {
@@ -145,26 +123,19 @@ func NewGeometricFromTree(m *geometric.Mechanism, t *tree.Tree) *GeometricEngine
 	return e
 }
 
-// Join implements Engine in O(depth).
-func (e *GeometricEngine) Join(parent tree.NodeID, c float64) (tree.NodeID, error) {
+// Joined implements Engine in O(depth).
+func (e *GeometricEngine) Joined(u tree.NodeID) {
 	defer geoJoinOps.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	id, err := e.t.Add(parent, c)
-	if err != nil {
-		return tree.None, err
+	for len(e.s) <= int(u) {
+		e.s = append(e.s, 0)
 	}
-	e.s = append(e.s, 0)
-	e.bubble(id, c)
-	return id, nil
+	e.bubble(u, e.t.Contribution(u))
 }
 
-// AddContribution implements Engine in O(depth).
-func (e *GeometricEngine) AddContribution(u tree.NodeID, delta float64) error {
+// Contributed implements Engine in O(depth).
+func (e *GeometricEngine) Contributed(u tree.NodeID, delta float64) {
 	defer geoContrib.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	if err := e.t.AddContribution(u, delta); err != nil {
-		return err
-	}
 	e.bubble(u, delta)
-	return nil
 }
 
 // bubble adds delta to s[u] and a^dist*delta to every ancestor.
@@ -193,9 +164,6 @@ func (e *GeometricEngine) Rewards() core.Rewards {
 	return out
 }
 
-// Tree implements Engine.
-func (e *GeometricEngine) Tree() *tree.Tree { return e.t }
-
 // Mechanism implements Engine.
 func (e *GeometricEngine) Mechanism() core.Mechanism { return e.mech }
 
@@ -206,13 +174,8 @@ type CDRMEngine struct {
 	desc []float64 // proper-descendant contribution sums y_u
 }
 
-// NewCDRM starts an empty engine for m.
-func NewCDRM(m *cdrm.Mechanism) *CDRMEngine {
-	return &CDRMEngine{mech: m, t: tree.New(), desc: []float64{0}}
-}
-
-// NewCDRMFromTree adopts an existing tree, rebuilding the
-// proper-descendant contribution sums y_u in O(n).
+// NewCDRMFromTree observes t, building the proper-descendant
+// contribution sums y_u in O(n).
 func NewCDRMFromTree(m *cdrm.Mechanism, t *tree.Tree) *CDRMEngine {
 	e := &CDRMEngine{mech: m, t: t, desc: make([]float64, t.Len())}
 	for u := tree.NodeID(t.Len() - 1); u > tree.Root; u-- {
@@ -221,26 +184,19 @@ func NewCDRMFromTree(m *cdrm.Mechanism, t *tree.Tree) *CDRMEngine {
 	return e
 }
 
-// Join implements Engine in O(depth).
-func (e *CDRMEngine) Join(parent tree.NodeID, c float64) (tree.NodeID, error) {
+// Joined implements Engine in O(depth).
+func (e *CDRMEngine) Joined(u tree.NodeID) {
 	defer cdrmJoinOps.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	id, err := e.t.Add(parent, c)
-	if err != nil {
-		return tree.None, err
+	for len(e.desc) <= int(u) {
+		e.desc = append(e.desc, 0)
 	}
-	e.desc = append(e.desc, 0)
-	e.propagate(id, c)
-	return id, nil
+	e.propagate(u, e.t.Contribution(u))
 }
 
-// AddContribution implements Engine in O(depth).
-func (e *CDRMEngine) AddContribution(u tree.NodeID, delta float64) error {
+// Contributed implements Engine in O(depth).
+func (e *CDRMEngine) Contributed(u tree.NodeID, delta float64) {
 	defer cdrmContrib.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	if err := e.t.AddContribution(u, delta); err != nil {
-		return err
-	}
 	e.propagate(u, delta)
-	return nil
 }
 
 // propagate adds delta to every proper ancestor's descendant sum.
@@ -267,72 +223,5 @@ func (e *CDRMEngine) Rewards() core.Rewards {
 	return out
 }
 
-// Tree implements Engine.
-func (e *CDRMEngine) Tree() *tree.Tree { return e.t }
-
 // Mechanism implements Engine.
 func (e *CDRMEngine) Mechanism() core.Mechanism { return e.mech }
-
-// FullEngine serves any mechanism by re-evaluating rewards after every
-// write — the baseline the incremental engines are benchmarked against,
-// and the fallback for mechanisms without an incremental decomposition
-// (TDRM, L-Pachira).
-type FullEngine struct {
-	mech    core.Mechanism
-	t       *tree.Tree
-	rewards core.Rewards
-}
-
-// NewFull starts an empty full-evaluation engine.
-func NewFull(m core.Mechanism) (*FullEngine, error) {
-	e := &FullEngine{mech: m, t: tree.New()}
-	if err := e.recompute(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (e *FullEngine) recompute() error {
-	r, err := e.mech.Rewards(e.t)
-	if err != nil {
-		return fmt.Errorf("incremental: recompute: %w", err)
-	}
-	e.rewards = r
-	return nil
-}
-
-// Join implements Engine in O(n).
-func (e *FullEngine) Join(parent tree.NodeID, c float64) (tree.NodeID, error) {
-	defer fullJoinOps.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	id, err := e.t.Add(parent, c)
-	if err != nil {
-		return tree.None, err
-	}
-	if err := e.recompute(); err != nil {
-		return tree.None, err
-	}
-	return id, nil
-}
-
-// AddContribution implements Engine in O(n).
-func (e *FullEngine) AddContribution(u tree.NodeID, delta float64) error {
-	defer fullContrib.done(time.Now()) //itreevet:ignore floatorder wall clock feeds only the op-latency histogram, never reward state
-	if err := e.t.AddContribution(u, delta); err != nil {
-		return err
-	}
-	return e.recompute()
-}
-
-// Reward implements Engine.
-func (e *FullEngine) Reward(u tree.NodeID) float64 { return e.rewards.Of(u) }
-
-// Rewards implements Engine.
-func (e *FullEngine) Rewards() core.Rewards {
-	return append(core.Rewards(nil), e.rewards...)
-}
-
-// Tree implements Engine.
-func (e *FullEngine) Tree() *tree.Tree { return e.t }
-
-// Mechanism implements Engine.
-func (e *FullEngine) Mechanism() core.Mechanism { return e.mech }

@@ -180,7 +180,10 @@ func binaryPayloadSize(e Event) int {
 }
 
 // AppendBinaryRecord appends the framed binary encoding of e to dst.
-// The event must already carry its sequence number and validate.
+// The event must already carry its sequence number and validate, and
+// its payload must fit maxBinaryPayload: the decoder rejects anything
+// larger as corruption, so writing it would acknowledge an event that
+// stops the journal from reading back.
 func AppendBinaryRecord(dst []byte, e Event) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return dst, err
@@ -189,8 +192,12 @@ func AppendBinaryRecord(dst []byte, e Event) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
+	size := binaryPayloadSize(e)
+	if size > maxBinaryPayload {
+		return dst, fmt.Errorf("journal: %s record payload of %d bytes exceeds the %d-byte limit", e.Kind, size, maxBinaryPayload)
+	}
 	dst = append(dst, tagBinaryV1)
-	dst = binary.AppendUvarint(dst, uint64(binaryPayloadSize(e)))
+	dst = binary.AppendUvarint(dst, uint64(size))
 	start := len(dst)
 	dst = append(dst, kb)
 	dst = binary.AppendUvarint(dst, e.Seq)

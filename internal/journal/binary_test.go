@@ -243,6 +243,33 @@ func TestBinaryRejectsOversizedLength(t *testing.T) {
 	}
 }
 
+// TestBinaryEncoderRefusesOversizedPayload: the decoder rejects a
+// declared payload beyond maxBinaryPayload as mid-log corruption, so
+// the encoder must refuse such a record rather than write one that
+// stops the journal from reading back. A refused append consumes no
+// sequence number.
+func TestBinaryEncoderRefusesOversizedPayload(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriterMode(&buf, 1, ModeBinary)
+	if _, err := w.Append(Event{Kind: KindJoin, Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	huge := Event{Kind: KindJoin, Name: strings.Repeat("x", maxBinaryPayload)}
+	if _, err := w.Append(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized join append: err = %v, want size refusal", err)
+	}
+	if _, err := w.AppendBatch([]Event{{Kind: KindJoin, Name: "b"}, huge}); err == nil {
+		t.Fatal("batch holding an oversized record was written")
+	}
+	if e, err := w.Append(Event{Kind: KindJoin, Name: "b"}); err != nil || e.Seq != 2 {
+		t.Fatalf("append after refusals = %+v, %v; want seq 2", e, err)
+	}
+	events, err := Read(&buf)
+	if err != nil || len(events) != 2 {
+		t.Fatalf("journal reads back %d events, err %v; want 2, nil", len(events), err)
+	}
+}
+
 // TestParseMode covers the flag-facing parser.
 func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {

@@ -1,9 +1,11 @@
 // Package journal provides an append-only event log for Incentive Tree
-// deployments: every state change (join, contribute, quarantine) is
-// recorded as one JSON line, and a log replays into the exact referral
-// tree — and payout-quarantine set — it witnessed. Together with the tree's JSON snapshot format this gives
-// the in-memory HTTP service (internal/server) crash-recovery semantics:
-// snapshot + suffix-of-journal = current state.
+// deployments: every state change (join, contribute, quarantine,
+// settle, claim) is recorded as one record, and State applies records
+// to campaign state — the referral tree, the payout-quarantine set and
+// the payout ledger. State.Apply is the only code that changes that
+// state: the in-memory HTTP service (internal/server) applies its live
+// writes through it, and recovery and replication replay the log
+// through it, so snapshot + suffix-of-journal = current state.
 package journal
 
 import (
@@ -15,7 +17,6 @@ import (
 	"sync"
 
 	"incentivetree/internal/obs"
-	"incentivetree/internal/tree"
 )
 
 // Journal activity is recorded in the process-wide obs registry so a
@@ -125,21 +126,26 @@ func (e Event) Validate() error {
 	switch e.Kind {
 	case KindJoin:
 		if e.Name == "" {
-			return errors.New("journal: join event without name")
+			return errors.New("name must not be empty")
 		}
 		if e.Amount != 0 {
 			return errors.New("journal: join event carries an amount")
 		}
 	case KindContribute:
-		if e.Name == "" {
-			return errors.New("journal: contribute event without name")
+		// The amount rules come first: the HTTP API reports a bad amount
+		// ahead of the name it was sent for.
+		if math.IsNaN(e.Amount) || math.IsInf(e.Amount, 0) {
+			return fmt.Errorf("amount %v must be finite", e.Amount)
 		}
-		if !finitePositive(e.Amount) {
-			return fmt.Errorf("journal: contribute amount %v must be finite and positive", e.Amount)
+		if e.Amount <= 0 {
+			return fmt.Errorf("amount %v must be positive", e.Amount)
+		}
+		if e.Name == "" {
+			return unknownParticipant(e.Name)
 		}
 	case KindQuarantine, KindUnquarantine:
 		if e.Name == "" {
-			return fmt.Errorf("journal: %s event without name", e.Kind)
+			return unknownParticipant(e.Name)
 		}
 		if e.Sponsor != "" {
 			return fmt.Errorf("journal: %s event carries a sponsor", e.Kind)
@@ -345,120 +351,4 @@ func hasContent(br *bufio.Reader) bool {
 			return true
 		}
 	}
-}
-
-// State is the result of replaying a journal.
-type State struct {
-	// Tree is the reconstructed referral tree (labels carry names).
-	Tree *tree.Tree
-	// ByName maps participant names to node ids.
-	ByName map[string]tree.NodeID
-	// LastSeq is the sequence number of the last applied event (0 for an
-	// empty journal).
-	LastSeq uint64
-	// Quarantined holds the names whose subtrees are currently withheld
-	// from payout.
-	Quarantined map[string]bool
-	// Ledger holds the settled epochs and claims the journal witnessed.
-	Ledger *Ledger
-}
-
-// Replay applies events (in order) on top of an optional base state.
-// Pass nil to start from an empty tree.
-func Replay(base *State, events []Event) (*State, error) {
-	st := base
-	if st == nil {
-		st = &State{Tree: tree.New(), ByName: make(map[string]tree.NodeID)}
-	}
-	if st.Quarantined == nil {
-		st.Quarantined = make(map[string]bool)
-	}
-	if st.Ledger == nil {
-		st.Ledger = NewLedger()
-	}
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return nil, err
-		}
-		if e.Seq <= st.LastSeq {
-			return nil, fmt.Errorf("journal: event %d replayed out of order (last %d)", e.Seq, st.LastSeq)
-		}
-		switch e.Kind {
-		case KindJoin:
-			if _, dup := st.ByName[e.Name]; dup {
-				return nil, fmt.Errorf("journal: duplicate join of %q at seq %d", e.Name, e.Seq)
-			}
-			parent := tree.Root
-			if e.Sponsor != "" {
-				p, ok := st.ByName[e.Sponsor]
-				if !ok {
-					return nil, fmt.Errorf("journal: unknown sponsor %q at seq %d", e.Sponsor, e.Seq)
-				}
-				parent = p
-			}
-			id, err := st.Tree.Add(parent, 0)
-			if err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-			if err := st.Tree.SetLabel(id, e.Name); err != nil {
-				return nil, err
-			}
-			st.ByName[e.Name] = id
-		case KindContribute:
-			id, ok := st.ByName[e.Name]
-			if !ok {
-				return nil, fmt.Errorf("journal: contribution by unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if err := st.Tree.AddContribution(id, e.Amount); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		case KindQuarantine:
-			if _, ok := st.ByName[e.Name]; !ok {
-				return nil, fmt.Errorf("journal: quarantine of unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if st.Quarantined[e.Name] {
-				return nil, fmt.Errorf("journal: duplicate quarantine of %q at seq %d", e.Name, e.Seq)
-			}
-			st.Quarantined[e.Name] = true
-		case KindUnquarantine:
-			if !st.Quarantined[e.Name] {
-				return nil, fmt.Errorf("journal: unquarantine of unflagged %q at seq %d", e.Name, e.Seq)
-			}
-			delete(st.Quarantined, e.Name)
-		case KindSettle:
-			for _, r := range e.Rewards {
-				if _, ok := st.ByName[r.Name]; !ok {
-					return nil, fmt.Errorf("journal: settle share for unknown %q at seq %d", r.Name, e.Seq)
-				}
-			}
-			if err := st.Ledger.ApplySettle(e); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		case KindClaim:
-			if _, ok := st.ByName[e.Name]; !ok {
-				return nil, fmt.Errorf("journal: claim by unknown %q at seq %d", e.Name, e.Seq)
-			}
-			if err := st.Ledger.ApplyClaim(e); err != nil {
-				return nil, fmt.Errorf("journal: seq %d: %w", e.Seq, err)
-			}
-		}
-		st.LastSeq = e.Seq
-		metricReplays.Inc()
-	}
-	return st, nil
-}
-
-// StateFromTree rebuilds the replay state of an existing labelled tree
-// (e.g. a decoded snapshot), assigning it the given last sequence
-// number. Labels must be unique.
-func StateFromTree(t *tree.Tree, lastSeq uint64) (*State, error) {
-	st := &State{Tree: t, ByName: make(map[string]tree.NodeID, t.NumParticipants()), LastSeq: lastSeq, Quarantined: make(map[string]bool), Ledger: NewLedger()}
-	for _, u := range t.Nodes() {
-		name := t.Label(u)
-		if _, dup := st.ByName[name]; dup {
-			return nil, fmt.Errorf("journal: duplicate participant name %q in snapshot", name)
-		}
-		st.ByName[name] = u
-	}
-	return st, nil
 }

@@ -146,38 +146,10 @@ func (l *Ledger) ApplySettle(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	if e.Epoch != l.NextEpoch() {
-		return fmt.Errorf("journal: settle of epoch %d out of order (next is %d)", e.Epoch, l.NextEpoch())
+	if err := l.checkSettle(e); err != nil {
+		return err
 	}
-	if cPrev, _ := l.AccrualBasis(); e.CTotal < cPrev {
-		return fmt.Errorf("journal: settle ctotal %v regresses below %v", e.CTotal, cPrev)
-	}
-	// The budget invariant: subtracting the shares sequentially in
-	// record order must never overdraw the pool. The same loop, in the
-	// same order, computes the carry on every replica — no independent
-	// re-summation that could disagree in the last ulp.
-	remaining := e.Pool
-	sum := 0.0
-	shares := make(map[string]float64, len(e.Rewards))
-	for _, r := range e.Rewards {
-		remaining -= r.Amount
-		sum += r.Amount
-		if remaining < 0 {
-			return fmt.Errorf("journal: settle of epoch %d overdraws pool %v at share %q", e.Epoch, e.Pool, r.Name)
-		}
-		shares[r.Name] = r.Amount
-	}
-	rewards := make([]RewardShare, len(e.Rewards))
-	copy(rewards, e.Rewards)
-	l.epochs = append(l.epochs, SettledEpoch{Epoch: e.Epoch, Pool: e.Pool, CTotal: e.CTotal, Rewards: rewards})
-	l.shares = append(l.shares, shares)
-	l.claimedSet = append(l.claimedSet, make(map[string]bool))
-	l.carry = append(l.carry, remaining)
-	l.settledSum = append(l.settledSum, sum)
-	l.claimedSum = append(l.claimedSum, 0)
-	for _, r := range rewards {
-		l.settledBy[r.Name] += r.Amount
-	}
+	l.applySettle(e)
 	return nil
 }
 
@@ -189,25 +161,92 @@ func (l *Ledger) ApplyClaim(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	if e.Epoch > uint64(len(l.epochs)) {
-		return fmt.Errorf("journal: claim against unsettled epoch %d", e.Epoch)
+	if err := l.checkClaim(e); err != nil {
+		return err
+	}
+	l.applyClaim(e)
+	return nil
+}
+
+// drawDown subtracts a settle record's shares from its pool
+// sequentially, in record order. It returns the carry left, the
+// sequential share sum, and the index of the first share that
+// overdraws the pool (-1 if none). Every replica runs this same loop,
+// so the carry agrees to the last ulp — no independent re-summation
+// that could disagree.
+func drawDown(e Event) (remaining, sum float64, overdraw int) {
+	remaining = e.Pool
+	for i, r := range e.Rewards {
+		remaining -= r.Amount
+		sum += r.Amount
+		if remaining < 0 {
+			return remaining, sum, i
+		}
+	}
+	return remaining, sum, -1
+}
+
+// checkSettle tests a well-formed settle record against the ledger:
+// epochs settle in order, CTotal never regresses, and the budget
+// invariant — the shares never overdraw the pool.
+func (l *Ledger) checkSettle(e Event) error {
+	if e.Epoch != l.NextEpoch() {
+		return fmt.Errorf("journal: settle of epoch %d out of order (next is %d)", e.Epoch, l.NextEpoch())
+	}
+	if cPrev, _ := l.AccrualBasis(); e.CTotal < cPrev {
+		return fmt.Errorf("journal: settle ctotal %v regresses below %v", e.CTotal, cPrev)
+	}
+	if _, _, i := drawDown(e); i >= 0 {
+		return fmt.Errorf("journal: settle of epoch %d overdraws pool %v at share %q", e.Epoch, e.Pool, e.Rewards[i].Name)
+	}
+	return nil
+}
+
+// applySettle appends a checked settle record as the next epoch.
+func (l *Ledger) applySettle(e Event) {
+	remaining, sum, _ := drawDown(e)
+	shares := make(map[string]float64, len(e.Rewards))
+	rewards := make([]RewardShare, len(e.Rewards))
+	copy(rewards, e.Rewards)
+	for _, r := range rewards {
+		shares[r.Name] = r.Amount
+		l.settledBy[r.Name] += r.Amount
+	}
+	l.epochs = append(l.epochs, SettledEpoch{Epoch: e.Epoch, Pool: e.Pool, CTotal: e.CTotal, Rewards: rewards})
+	l.shares = append(l.shares, shares)
+	l.claimedSet = append(l.claimedSet, make(map[string]bool))
+	l.carry = append(l.carry, remaining)
+	l.settledSum = append(l.settledSum, sum)
+	l.claimedSum = append(l.claimedSum, 0)
+}
+
+// checkClaim tests a claim against the ledger: it names a settled
+// share, is the first claim of it, and matches its amount bit for bit.
+func (l *Ledger) checkClaim(e Event) error {
+	if e.Epoch == 0 || e.Epoch > uint64(len(l.epochs)) {
+		return fmt.Errorf("%w: epoch %d", ErrEpochNotSettled, e.Epoch)
 	}
 	i := e.Epoch - 1
 	share, ok := l.shares[i][e.Name]
 	if !ok {
-		return fmt.Errorf("journal: claim by %q with no share in epoch %d", e.Name, e.Epoch)
+		return fmt.Errorf("%w %d for %q", ErrNoShare, e.Epoch, e.Name)
 	}
 	if l.claimedSet[i][e.Name] {
-		return fmt.Errorf("journal: duplicate claim by %q for epoch %d", e.Name, e.Epoch)
+		return fmt.Errorf("share of epoch %d %w by %q", e.Epoch, ErrAlreadyClaimed, e.Name)
 	}
 	if e.Amount != share {
 		return fmt.Errorf("journal: claim by %q for epoch %d carries %v, share is %v", e.Name, e.Epoch, e.Amount, share)
 	}
+	return nil
+}
+
+// applyClaim marks a checked claim as paid out.
+func (l *Ledger) applyClaim(e Event) {
+	i := e.Epoch - 1
 	l.claimedSet[i][e.Name] = true
 	l.epochs[i].Claimed = append(l.epochs[i].Claimed, e.Name)
 	l.claimedSum[i] += e.Amount
 	l.claimedBy[e.Name] += e.Amount
-	return nil
 }
 
 // Snapshot returns a deep copy of the settled epochs, safe to hold

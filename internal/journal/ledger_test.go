@@ -118,7 +118,7 @@ func TestReplayRejectsLedgerViolations(t *testing.T) {
 			Rewards: []RewardShare{{Name: "mallory", Amount: 1}}}, "unknown"},
 		{"shares not ascending", Event{Kind: KindSettle, Epoch: 2, Pool: 4, CTotal: 12,
 			Rewards: []RewardShare{{Name: "bob", Amount: 1}, {Name: "alice", Amount: 1}}}, "ascending"},
-		{"claim unsettled epoch", Event{Kind: KindClaim, Name: "bob", Epoch: 2, Amount: 1}, "unsettled"},
+		{"claim unsettled epoch", Event{Kind: KindClaim, Name: "bob", Epoch: 2, Amount: 1}, "not settled"},
 		{"claim without share", Event{Kind: KindClaim, Name: "bob", Epoch: 1, Amount: 1}, ""},
 		{"claim amount mismatch", Event{Kind: KindClaim, Name: "alice", Epoch: 1, Amount: 2.0000001}, "share is"},
 		{"join with epoch", Event{Kind: KindJoin, Name: "carol", Epoch: 1}, "ledger fields"},
@@ -141,7 +141,7 @@ func TestReplayRejectsLedgerViolations(t *testing.T) {
 	first := Event{Seq: 5, Kind: KindClaim, Name: "bob", Epoch: 1, Amount: 1.5}
 	if _, err := Replay(nil, append(append([]Event(nil), base...), first, dup)); err == nil {
 		t.Fatal("replay accepted a duplicate claim")
-	} else if !strings.Contains(err.Error(), "duplicate claim") {
+	} else if !strings.Contains(err.Error(), "already claimed") {
 		t.Fatalf("duplicate claim error = %q", err)
 	}
 }

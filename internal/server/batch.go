@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"strings"
 
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
@@ -118,51 +115,39 @@ func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
 			results[i].Err = rerr
 			continue
 		}
-		name := op.Name
-		if op.Kind == ingest.OpJoin {
-			name = strings.TrimSpace(name)
-		}
-		results[i].Value = s.viewLocked(s.byKey[name], rewards, mask)
+		e, _ := opEvent(op) // op applied, so it converted
+		results[i].Value = s.viewLocked(s.state.ByName[e.Name], rewards, mask)
 	}
 	return results
 }
 
-// applyLocked validates and applies ops in order under the held write
-// lock, then journals every success as one batch append. errs[i] is
-// op i's individual outcome. If the journal rejects the batch, every
-// in-memory mutation is rolled back so memory never diverges from what
+// applyLocked applies ops in order under the held write lock, then
+// journals every success as one batch append. errs[i] is op i's
+// individual outcome. If the journal rejects the batch, every
+// in-memory change is rolled back so memory never diverges from what
 // a restart would replay, and the append error is reported on each op
 // that had applied.
 func (s *Server) applyLocked(ops []ingest.Op) []error {
 	errs := make([]error, len(ops))
 	events := make([]journal.Event, 0, len(ops))
 	eventOps := make([]int, 0, len(ops))
-	mark := s.tree.Mark()
-	var joins []string
-	var contribs []contribUndo
+	undo := batchUndo{mark: s.state.Tree.Mark(), lastSeq: s.state.LastSeq}
 	for i, op := range ops {
-		switch op.Kind {
-		case ingest.OpJoin:
-			name, err := s.joinLocked(op.Name, op.Sponsor)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			joins = append(joins, name)
-			events = append(events, journal.Event{Kind: journal.KindJoin, Name: name, Sponsor: op.Sponsor})
-			eventOps = append(eventOps, i)
-		case ingest.OpContribute:
-			undo, err := s.contributeLocked(op.Name, op.Amount)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			contribs = append(contribs, undo)
-			events = append(events, journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount})
-			eventOps = append(eventOps, i)
-		default:
-			errs[i] = fmt.Errorf("server: unknown op kind %d", op.Kind)
+		e, err := opEvent(op)
+		var prior float64
+		if err == nil {
+			e.Seq = s.state.LastSeq + 1
+			// A join's name is not indexed yet, so it reads the root's 0.
+			prior = s.state.Tree.Contribution(s.state.ByName[e.Name])
+			err = s.applyEventLocked(e)
 		}
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		events = append(events, e)
+		eventOps = append(eventOps, i)
+		undo.prior = append(undo.prior, prior)
 	}
 	if len(events) == 0 {
 		return errs
@@ -170,16 +155,14 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 	if s.journal != nil {
 		persisted, err := s.journal.AppendBatch(events)
 		if err != nil {
-			s.rollbackLocked(mark, joins, contribs)
+			s.rollbackLocked(undo, events)
 			err = fmt.Errorf("server: journal append: %w", err)
 			for _, oi := range eventOps {
 				errs[oi] = err
 			}
 			return errs
 		}
-		s.lastSeq = persisted[len(persisted)-1].Seq
-	} else {
-		s.lastSeq += uint64(len(events))
+		s.state.LastSeq = persisted[len(persisted)-1].Seq
 	}
 	s.version++
 	if s.commitHook != nil {
@@ -192,100 +175,95 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 	return errs
 }
 
-// joinLocked validates and applies one join, returning the
-// (whitespace-trimmed) name recorded in the journal event.
-func (s *Server) joinLocked(name, sponsor string) (string, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", errors.New("name must not be empty")
+// opEvent is the journal event an ingest op asks for. Join names are
+// whitespace-trimmed; everything else is checked by journal.State.
+func opEvent(op ingest.Op) (journal.Event, error) {
+	switch op.Kind {
+	case ingest.OpJoin:
+		return journal.Event{Kind: journal.KindJoin, Name: strings.TrimSpace(op.Name), Sponsor: op.Sponsor}, nil
+	case ingest.OpContribute:
+		return journal.Event{Kind: journal.KindContribute, Name: op.Name, Amount: op.Amount}, nil
 	}
-	if _, dup := s.byKey[name]; dup {
-		return "", fmt.Errorf("participant %q already exists", name)
+	return journal.Event{}, fmt.Errorf("server: unknown op kind %d", op.Kind)
+}
+
+// applyEventLocked applies one event to the campaign state and then
+// tells the incremental engine, if any, what changed. Batches, journal-
+// first writes (commitLocked) and replicated events all use it.
+func (s *Server) applyEventLocked(e journal.Event) error {
+	if err := s.state.Apply(e); err != nil {
+		return err
 	}
-	parent := tree.Root
-	if sponsor != "" {
-		p, ok := s.byKey[sponsor]
-		if !ok {
-			return "", fmt.Errorf("unknown sponsor %q", sponsor)
+	if s.engine != nil {
+		switch e.Kind {
+		case journal.KindJoin:
+			s.engine.Joined(s.state.ByName[e.Name])
+		case journal.KindContribute:
+			s.engine.Contributed(s.state.ByName[e.Name], e.Amount)
 		}
-		parent = p
 	}
-	var id tree.NodeID
-	var err error
-	if s.engine != nil {
-		id, err = s.engine.Join(parent, 0)
+	return nil
+}
+
+// commitLocked commits one event journal-first: Check, append, then
+// apply. Nothing changes until the record is durable, so a failed
+// append leaves memory and log in agreement. It returns the persisted
+// event.
+func (s *Server) commitLocked(e journal.Event) (journal.Event, error) {
+	if err := s.state.Check(e); err != nil {
+		return journal.Event{}, err
+	}
+	if s.journal != nil {
+		pe, err := s.journal.Append(e)
+		if err != nil {
+			return journal.Event{}, fmt.Errorf("server: journal append: %w", err)
+		}
+		e = pe
 	} else {
-		id, err = s.tree.Add(parent, 0)
+		e.Seq = s.state.LastSeq + 1
 	}
-	if err != nil {
-		return "", err
+	if err := s.applyEventLocked(e); err != nil {
+		// Check passed under the same lock, so a refusal here is a bug,
+		// surfaced loudly rather than leaving the durable record
+		// unapplied.
+		return journal.Event{}, fmt.Errorf("server: apply: %w", err)
 	}
-	if err := s.tree.SetLabel(id, name); err != nil {
-		return "", err
-	}
-	s.byKey[name] = id
-	return name, nil
+	return e, nil
 }
 
-// contribUndo records the pre-op contribution of one participant so a
-// failed batch can restore the exact value (no floating-point drift).
-type contribUndo struct {
-	id  tree.NodeID
-	old float64
+// batchUndo records what a batch changed, so a failed journal append
+// can restore the exact prior state.
+type batchUndo struct {
+	mark    tree.Mark
+	lastSeq uint64
+	// prior holds, per applied event, its participant's contribution
+	// before the event (0 for a join), so a restore has no
+	// floating-point drift.
+	prior []float64
 }
 
-// contributeLocked validates and applies one contribution, returning
-// its undo record.
-func (s *Server) contributeLocked(name string, amount float64) (contribUndo, error) {
-	// NaN fails every comparison, so the positivity check alone would
-	// admit it (and ±Inf); reject non-finite amounts explicitly.
-	if math.IsNaN(amount) || math.IsInf(amount, 0) {
-		return contribUndo{}, fmt.Errorf("amount %v must be finite", amount)
-	}
-	if amount <= 0 {
-		return contribUndo{}, fmt.Errorf("amount %v must be positive", amount)
-	}
-	id, ok := s.byKey[name]
-	if !ok {
-		return contribUndo{}, fmt.Errorf("unknown participant %q", name)
-	}
-	undo := contribUndo{id: id, old: s.tree.Contribution(id)}
-	var err error
-	if s.engine != nil {
-		err = s.engine.AddContribution(id, amount)
-	} else {
-		err = s.tree.AddContribution(id, amount)
-	}
-	if err != nil {
-		return contribUndo{}, err
-	}
-	return undo, nil
-}
-
-// rollbackLocked undoes an applied-but-unjournaled batch: restore
-// contribution values (reverse order, so repeated contributions to one
-// participant land back on the first-recorded value), drop the name
-// index entries of batch joins, truncate their tree nodes, and rebuild
-// the incremental engine whose derived sums in-place undo cannot reach.
-func (s *Server) rollbackLocked(mark tree.Mark, joins []string, contribs []contribUndo) {
-	for i := len(contribs) - 1; i >= 0; i-- {
-		// Restoring a recorded prior value of an existing node cannot fail.
-		_ = s.tree.SetContribution(contribs[i].id, contribs[i].old)
-	}
-	for _, name := range joins {
-		delete(s.byKey, name)
+// rollbackLocked undoes the applied-but-unjournaled events of a batch,
+// newest first: restore contribution values (so repeated contributions
+// to one participant land back on the first-recorded value), drop the
+// name index entries of batch joins, truncate their tree nodes, and
+// rebuild the incremental engine whose derived sums in-place undo
+// cannot reach.
+func (s *Server) rollbackLocked(undo batchUndo, events []journal.Event) {
+	for i := len(events) - 1; i >= 0; i-- {
+		switch e := events[i]; e.Kind {
+		case journal.KindContribute:
+			// Restoring a recorded prior value of an existing node cannot fail.
+			_ = s.state.Tree.SetContribution(s.state.ByName[e.Name], undo.prior[i])
+		case journal.KindJoin:
+			delete(s.state.ByName, e.Name)
+		}
 	}
 	// The tree always holds at least the imaginary root, so the mark is
 	// valid by construction.
-	_ = s.tree.ResetTo(mark)
-	if s.engine != nil {
-		// O(n) rebuild, but this path only runs when the journal itself
-		// failed — durability is already broken and the operator is told.
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-			s.tree = e.Tree()
-		} else {
-			s.engine = nil
-		}
-	}
+	_ = s.state.Tree.ResetTo(undo.mark)
+	s.state.LastSeq = undo.lastSeq
+	// O(n) engine rebuild, but this path only runs when the journal
+	// itself failed — durability is already broken and the operator is
+	// told.
+	s.attachEngine()
 }

@@ -128,7 +128,7 @@ func TestWithIncrementalSurvivesRestore(t *testing.T) {
 	if err := s2.Contribute("ada", 1); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s2.mech.Rewards(s2.tree)
+	want, err := s2.mech.Rewards(s2.state.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/tree"
 )
@@ -52,7 +51,7 @@ func (s *Server) SnapshotState() Snapshot {
 func (s *Server) SnapshotAt(fn func()) Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := Snapshot{LastSeq: s.lastSeq, Tree: s.tree.Clone(), Quarantined: s.quarantinedNamesLocked(), Epochs: s.ledger.Snapshot()}
+	snap := Snapshot{LastSeq: s.state.LastSeq, Tree: s.state.Tree.Clone(), Quarantined: s.quarantinedNamesLocked(), Epochs: s.state.Ledger.Snapshot()}
 	if fn != nil {
 		fn()
 	}
@@ -63,7 +62,16 @@ func (s *Server) SnapshotAt(fn func()) Snapshot {
 func (s *Server) LastSeq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lastSeq
+	return s.state.LastSeq
+}
+
+// Totals returns the participant count, the contribution total C(T)
+// and the last applied sequence number, read together under the read
+// lock — a campaign summary without cloning the state.
+func (s *Server) Totals() (participants int, contribution float64, lastSeq uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.state.Tree.NumParticipants(), s.state.Tree.Total(), s.state.LastSeq
 }
 
 // RestoreState replaces the deployment state with the snapshot. The
@@ -114,31 +122,15 @@ func stateFromSnapshot(snap Snapshot) (*journal.State, error) {
 }
 
 // adoptState installs a replayed state, rebuilding the incremental
-// engine (if one is configured) from the new tree.
+// engine (if one is configured) over the new tree.
 func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tree = st.Tree
-	s.byKey = st.ByName
-	s.lastSeq = st.LastSeq
-	s.quarantined = st.Quarantined
-	if s.quarantined == nil {
-		s.quarantined = make(map[string]bool)
-	}
-	s.ledger = st.Ledger
-	if s.ledger == nil {
-		s.ledger = journal.NewLedger()
-	}
-	// lastSeq may move backwards on a restore, but the cache version must
+	s.state = st
+	// LastSeq may move backwards on a restore, but the cache version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
-	if s.useEngine {
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-		} else {
-			s.engine = nil
-		}
-	}
+	s.attachEngine()
 	if s.commitHook != nil {
 		// A restore invalidates any incremental knowledge downstream.
 		s.commitHook(s.version, nil)
@@ -147,48 +139,34 @@ func (s *Server) adoptState(st *journal.State) {
 
 // ApplyReplicated applies a contiguous batch of journal events
 // replicated from a primary, under the write lock and through the same
-// replay code as crash recovery — so a follower that applies the
-// primary's journal reaches byte-identical state. The batch must
-// extend the current state exactly (first event at LastSeq+1, no
-// gaps); this is checked before anything mutates. On a replay error
-// the state may be partially advanced: the caller (a replication
-// follower) must discard the deployment and re-bootstrap from a
-// snapshot, which is its recovery path for any divergence.
+// per-event path as live batches — journal.State.Apply, which crash
+// recovery replays with too — so a follower that applies the primary's
+// journal reaches byte-identical state. The batch must extend the
+// current state exactly (first event at LastSeq+1, no gaps); this is
+// checked before anything mutates. On an apply error the state may be
+// partially advanced: the caller (a replication follower) must discard
+// the deployment and re-bootstrap from a snapshot, which is its
+// recovery path for any divergence.
 func (s *Server) ApplyReplicated(events []journal.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if events[0].Seq != s.lastSeq+1 {
-		return fmt.Errorf("server: replicated batch starts at seq %d, state is at %d", events[0].Seq, s.lastSeq)
+	if events[0].Seq != s.state.LastSeq+1 {
+		return fmt.Errorf("server: replicated batch starts at seq %d, state is at %d", events[0].Seq, s.state.LastSeq)
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Seq != events[i-1].Seq+1 {
 			return fmt.Errorf("server: replicated batch has a gap: %d after %d", events[i].Seq, events[i-1].Seq)
 		}
 	}
-	st := &journal.State{Tree: s.tree, ByName: s.byKey, LastSeq: s.lastSeq, Quarantined: s.quarantined, Ledger: s.ledger}
-	st, err := journal.Replay(st, events)
-	if err != nil {
-		// Keep the cache from serving the partially mutated tree.
-		s.version++
-		return err
-	}
-	s.lastSeq = st.LastSeq
-	s.quarantined = st.Quarantined
-	s.ledger = st.Ledger
+	// Bumped on failure too, so the cache never serves a partially
+	// applied batch.
 	s.version++
-	if s.useEngine && s.engine != nil {
-		// Replay bypassed the engine's O(depth) bookkeeping; rebuild its
-		// derived sums from the tree. Followers normally run without an
-		// engine (full evaluation keeps reward bytes identical to the
-		// primary), so this is a programmatic-use safety net, not a hot
-		// path.
-		if e, ok := incremental.ForTree(s.mech, s.tree); ok {
-			s.engine = e
-		} else {
-			s.engine = nil
+	for _, e := range events {
+		if err := s.applyEventLocked(e); err != nil {
+			return fmt.Errorf("journal: seq %d: %w", e.Seq, err)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -200,5 +201,52 @@ func TestSnapshotAndRestoreEndpoints(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed restore status = %d", resp.StatusCode)
+	}
+}
+
+// TestOversizeJoinRejected: a join the journal cannot hold is refused,
+// never acknowledged. Over HTTP the body bound answers 413 before the
+// op reaches the journal; a programmatic join whose record would
+// exceed the binary payload limit fails its append and rolls back.
+// Either way the journal still reads back and recovers.
+func TestOversizeJoinRejected(t *testing.T) {
+	var log bytes.Buffer
+	s := New(mech(t), WithJournal(journal.NewWriterMode(&log, 1, journal.ModeBinary)))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := s.Join("ada", ""); err != nil {
+		t.Fatal(err)
+	}
+	bigName := strings.Repeat("x", 2*maxWriteBody)
+	for path, body := range map[string]any{
+		"/v1/join":       map[string]string{"name": bigName},
+		"/v1/contribute": map[string]any{"name": bigName, "amount": 1},
+	} {
+		resp := postJSON(t, ts.URL+path, body)
+		var e errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error == "" {
+			t.Fatalf("POST %s with a %d-byte name = %d %q, want 413", path, len(bigName), resp.StatusCode, e.Error)
+		}
+	}
+	if err := s.Join(strings.Repeat("y", 1<<26), "ada"); err == nil || !strings.Contains(err.Error(), "journal append") {
+		t.Fatalf("64 MiB join = %v, want journal append refusal", err)
+	}
+	if s.LastSeq() != 1 || s.Has(bigName) {
+		t.Fatalf("after refusals: LastSeq %d, want 1", s.LastSeq())
+	}
+	if err := s.Join("bo", "ada"); err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.Read(&log)
+	if err != nil {
+		t.Fatalf("journal no longer reads back: %v", err)
+	}
+	rec := New(mech(t))
+	if err := Recover(rec, nil, events); err != nil || rec.LastSeq() != 2 || !rec.Has("bo") {
+		t.Fatalf("recovered LastSeq %d, err %v; want 2 with bo", rec.LastSeq(), err)
 	}
 }

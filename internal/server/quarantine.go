@@ -1,8 +1,6 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"incentivetree/internal/core"
@@ -11,13 +9,15 @@ import (
 )
 
 // Quarantine error sentinels, matched with errors.Is by the HTTP layer.
+// journal.State reports them; they are re-exported here for callers of
+// the server API.
 var (
 	// ErrUnknownParticipant reports a quarantine op naming nobody.
-	ErrUnknownParticipant = errors.New("unknown participant")
+	ErrUnknownParticipant = journal.ErrUnknownParticipant
 	// ErrAlreadyQuarantined reports a redundant quarantine.
-	ErrAlreadyQuarantined = errors.New("already quarantined")
+	ErrAlreadyQuarantined = journal.ErrAlreadyQuarantined
 	// ErrNotQuarantined reports an unquarantine of an unflagged name.
-	ErrNotQuarantined = errors.New("not quarantined")
+	ErrNotQuarantined = journal.ErrNotQuarantined
 )
 
 // Quarantine withholds the subtree rooted at name from payout: rewards
@@ -33,36 +33,14 @@ func (s *Server) Quarantine(name string) error { return s.setQuarantine(name, tr
 func (s *Server) Unquarantine(name string) error { return s.setQuarantine(name, false) }
 
 func (s *Server) setQuarantine(name string, on bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byKey[name]; !ok {
-		return fmt.Errorf("%w %q", ErrUnknownParticipant, name)
-	}
-	if on && s.quarantined[name] {
-		return fmt.Errorf("participant %q is %w", name, ErrAlreadyQuarantined)
-	}
-	if !on && !s.quarantined[name] {
-		return fmt.Errorf("participant %q is %w", name, ErrNotQuarantined)
-	}
 	kind := journal.KindQuarantine
 	if !on {
 		kind = journal.KindUnquarantine
 	}
-	// Journal first: nothing mutates until the record is durable, so a
-	// failed append leaves memory and log in agreement.
-	if s.journal != nil {
-		e, err := s.journal.Append(journal.Event{Kind: kind, Name: name})
-		if err != nil {
-			return fmt.Errorf("server: journal append: %w", err)
-		}
-		s.lastSeq = e.Seq
-	} else {
-		s.lastSeq++
-	}
-	if on {
-		s.quarantined[name] = true
-	} else {
-		delete(s.quarantined, name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.commitLocked(journal.Event{Kind: kind, Name: name}); err != nil {
+		return err
 	}
 	// The versioned read cache keys on the commit version, so this bump
 	// guarantees no pre-quarantine reward table is ever served again.
@@ -78,11 +56,11 @@ func (s *Server) QuarantinedNames() []string {
 }
 
 func (s *Server) quarantinedNamesLocked() []string {
-	if len(s.quarantined) == 0 {
+	if len(s.state.Quarantined) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(s.quarantined))
-	for n := range s.quarantined {
+	names := make([]string, 0, len(s.state.Quarantined))
+	for n := range s.state.Quarantined {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -93,7 +71,7 @@ func (s *Server) quarantinedNamesLocked() []string {
 func (s *Server) QuarantineCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.quarantined)
+	return len(s.state.Quarantined)
 }
 
 // IsQuarantined reports whether name itself carries a quarantine flag
@@ -101,7 +79,7 @@ func (s *Server) QuarantineCount() int {
 func (s *Server) IsQuarantined(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.quarantined[name]
+	return s.state.Quarantined[name]
 }
 
 // quarantineMaskLocked computes, per node id, whether the node's payout
@@ -109,16 +87,16 @@ func (s *Server) IsQuarantined(name string) bool {
 // returns nil when nothing is quarantined, so the common case costs one
 // map-length check.
 func (s *Server) quarantineMaskLocked() []bool {
-	if len(s.quarantined) == 0 {
+	if len(s.state.Quarantined) == 0 {
 		return nil
 	}
-	mask := make([]bool, s.tree.Len())
-	for name := range s.quarantined {
-		id, ok := s.byKey[name]
+	mask := make([]bool, s.state.Tree.Len())
+	for name := range s.state.Quarantined {
+		id, ok := s.state.ByName[name]
 		if !ok {
 			continue
 		}
-		s.tree.Walk(id, func(v tree.NodeID) bool {
+		s.state.Tree.Walk(id, func(v tree.NodeID) bool {
 			mask[v] = true
 			return true
 		})
@@ -156,11 +134,13 @@ func (s *Server) servedRewardsLocked() (core.Rewards, []bool, error) {
 }
 
 // SetCommitObserver installs fn to be called after every committed
-// write batch and state restore, with the new commit version and the
-// participant names the batch touched (nil means "anything may have
-// changed" — restores and replicated batches). fn runs while the write
-// lock is held: it must be fast and must not call back into the
-// server. The background auditor uses this to maintain its dirty set.
+// write batch, with the new commit version and the participant names
+// the batch touched, and after every state restore, with nil ("anything
+// may have changed"). Replicated batches (ApplyReplicated) do not call
+// it: followers never attach an auditor, its one user. fn runs while
+// the write lock is held: it must be fast and must not call back into
+// the server. The background auditor uses this to maintain its dirty
+// set.
 func (s *Server) SetCommitObserver(fn func(version uint64, touched []string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,5 +156,5 @@ func (s *Server) Mechanism() core.Mechanism { return s.mech }
 func (s *Server) AuditSnapshot() (*tree.Tree, []string, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Clone(), s.quarantinedNamesLocked(), s.version
+	return s.state.Tree.Clone(), s.quarantinedNamesLocked(), s.version
 }

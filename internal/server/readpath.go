@@ -56,12 +56,12 @@ func (s *Server) buildQueryView() (uint64, *queryView, error) {
 	}
 	resp := rewardsResponse{
 		Mechanism:    s.mech.Name(),
-		Total:        s.tree.Total(),
+		Total:        s.state.Tree.Total(),
 		TotalReward:  rewards.Total(),
-		Budget:       s.mech.Params().Phi * s.tree.Total(),
-		Participants: make([]Participant, 0, s.tree.NumParticipants()),
+		Budget:       s.mech.Params().Phi * s.state.Tree.Total(),
+		Participants: make([]Participant, 0, s.state.Tree.NumParticipants()),
 	}
-	for _, u := range s.tree.Nodes() {
+	for _, u := range s.state.Tree.Nodes() {
 		resp.Participants = append(resp.Participants, s.viewLocked(u, rewards, mask))
 	}
 	// Sorted by name so the table is deterministic even across snapshot

@@ -20,7 +20,12 @@
 //	GET  /v1/claims[?name=...]                               -> claims accounting
 //	GET  /v1/healthz                                         -> 200 ok
 //
-// All state lives in memory behind a single RWMutex. With WithBatching,
+// Join and contribute bodies are capped at 1 MiB (413 beyond), well
+// inside what one journal record may hold.
+//
+// All state lives in memory behind a single RWMutex, in one
+// journal.State: every write applies through State.Apply, the code
+// recovery and replication replay the journal with. With WithBatching,
 // writes flow through a group-commit ingest pipeline (one lock
 // acquisition, journal sync, and reward recompute per batch; full
 // queues shed with 429); reward reads are served from a versioned
@@ -56,47 +61,38 @@ type Server struct {
 	committer *ingest.Committer        // non-nil iff WithBatching
 	cache     *query.Cache[*queryView] // versioned read-side views
 
-	mu      sync.RWMutex
-	tree    *tree.Tree
-	byKey   map[string]tree.NodeID
-	lastSeq uint64
-	// quarantined holds names whose subtrees are withheld from payout;
-	// journaled alongside joins/contributions (see quarantine.go).
-	quarantined map[string]bool
+	mu sync.RWMutex
+	// state is the campaign state — tree, names, last seq, quarantine
+	// flags and ledger. Every change to it goes through state.Apply,
+	// the same code recovery and replication replay the journal with.
+	state *journal.State
 	// commitHook, when set, observes committed batches and restores; it
 	// runs under the write lock (see SetCommitObserver).
 	commitHook func(version uint64, touched []string)
 	// auditor, when set, backs the audit report/scan endpoints (see
 	// audit_http.go and SetAuditor).
 	auditor *audit.Auditor
-	// ledger holds the settled epochs and claims (see settle_http.go);
 	// epochBudget, when non-zero, overrides the mechanism's Phi as the
-	// pool accrual fraction (WithEpochBudget).
-	ledger      *journal.Ledger
+	// epoch pool accrual fraction (WithEpochBudget).
 	epochBudget float64
 	// settleObs, when metrics are attached, counts settle/claim
 	// operations (see settle_http.go).
 	settleObs *settleCounters
 	// version counts committed batches and state restores; it keys the
-	// read cache and, unlike lastSeq, never moves backwards in-process.
+	// read cache and, unlike LastSeq, never moves backwards in-process.
 	version uint64
-	// engine, when non-nil, owns tree and maintains rewards in O(depth)
-	// per write; all writes must route through it.
+	// engine, when non-nil, observes state's tree and maintains rewards
+	// in O(depth) per write; applyEventLocked notifies it.
 	engine incremental.Engine
 }
 
 // New creates an empty deployment under the mechanism.
 func New(m core.Mechanism, opts ...Option) *Server {
-	s := &Server{mech: m, tree: tree.New(), byKey: make(map[string]tree.NodeID), quarantined: make(map[string]bool), ledger: journal.NewLedger()}
+	s := &Server{mech: m, state: journal.NewState()}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.useEngine {
-		if e, ok := incremental.ForMechanism(m); ok {
-			s.engine = e
-			s.tree = e.Tree()
-		}
-	}
+	s.attachEngine()
 	s.initCache()
 	if s.batching != nil {
 		// Deferred past option application so the pipeline inherits the
@@ -121,6 +117,15 @@ func New(m core.Mechanism, opts ...Option) *Server {
 // reward tables across snapshot recovery should leave this off.
 func WithIncremental() Option {
 	return func(s *Server) { s.useEngine = true }
+}
+
+// attachEngine rebuilds the incremental engine, when one is configured
+// and the mechanism admits one, over the current tree in O(n). Callers
+// hold the write lock or own s exclusively.
+func (s *Server) attachEngine() {
+	if s.useEngine {
+		s.engine, _ = incremental.ForTree(s.mech, s.state.Tree)
+	}
 }
 
 // Participant is the wire representation of one participant's state.
@@ -191,10 +196,31 @@ func (s *Server) Handler() http.Handler {
 	return obs.Middleware(s.metrics, mux)
 }
 
+// maxWriteBody bounds the JSON body of a join or contribute request.
+// Names this long are far past any real use, and the bound keeps every
+// accepted write well inside what one journal record may hold.
+const maxWriteBody = 1 << 20
+
+// decodeWriteBody decodes a bounded write request body into v. On
+// failure it returns the status to answer with — 400, or 413 past
+// maxWriteBody — and the error to report.
+func decodeWriteBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWriteBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+	default:
+		return http.StatusBadRequest, errors.New("malformed JSON: " + err.Error())
+	}
+}
+
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"malformed JSON: " + err.Error()})
+	if status, err := decodeWriteBody(w, r, &req); err != nil {
+		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
 	p, err := s.SubmitJoin(r.Context(), req.Name, req.Sponsor)
@@ -207,8 +233,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleContribute(w http.ResponseWriter, r *http.Request) {
 	var req contributeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"malformed JSON: " + err.Error()})
+	if status, err := decodeWriteBody(w, r, &req); err != nil {
+		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
 	p, err := s.SubmitContribute(r.Context(), req.Name, req.Amount)
@@ -248,7 +274,7 @@ func (s *Server) handleParticipant(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Has(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.byKey[name]
+	_, ok := s.state.ByName[name]
 	return ok
 }
 
@@ -256,7 +282,7 @@ func (s *Server) Has(name string) bool {
 func (s *Server) participant(name string) (Participant, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	id, ok := s.byKey[name]
+	id, ok := s.state.ByName[name]
 	if !ok {
 		return Participant{}, fmt.Errorf("unknown participant %q", name)
 	}
@@ -274,7 +300,7 @@ func (s *Server) rewardsLocked() (core.Rewards, error) {
 	if s.engine != nil {
 		return s.engine.Rewards(), nil
 	}
-	return s.mech.Rewards(s.tree)
+	return s.mech.Rewards(s.state.Tree)
 }
 
 // viewLocked builds one participant's wire view. rewards is the table
@@ -282,16 +308,16 @@ func (s *Server) rewardsLocked() (core.Rewards, error) {
 // non-nil, flags the nodes whose payout is withheld.
 func (s *Server) viewLocked(id tree.NodeID, rewards core.Rewards, mask []bool) Participant {
 	sponsor := ""
-	if p := s.tree.Parent(id); p != tree.Root {
-		sponsor = s.tree.Label(p)
+	if p := s.state.Tree.Parent(id); p != tree.Root {
+		sponsor = s.state.Tree.Label(p)
 	}
 	return Participant{
-		Name:         s.tree.Label(id),
+		Name:         s.state.Tree.Label(id),
 		Sponsor:      sponsor,
-		Contribution: s.tree.Contribution(id),
+		Contribution: s.state.Tree.Contribution(id),
 		Reward:       rewards.Of(id),
-		Profit:       core.Profit(s.tree, rewards, id),
-		Recruits:     s.tree.NumChildren(id),
+		Profit:       core.Profit(s.state.Tree, rewards, id),
+		Recruits:     s.state.Tree.NumChildren(id),
 		Quarantined:  mask != nil && int(id) < len(mask) && mask[id],
 	}
 }
@@ -299,7 +325,7 @@ func (s *Server) viewLocked(id tree.NodeID, rewards core.Rewards, mask []bool) P
 func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, s.tree)
+	writeJSON(w, http.StatusOK, s.state.Tree)
 }
 
 // statsResponse is the enriched /v1/stats payload: tree shape plus the
@@ -331,11 +357,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
-		Tree:        s.tree.ComputeStats(),
+		Tree:        s.state.Tree.ComputeStats(),
 		TotalReward: rewards.Total(),
-		Budget:      s.mech.Params().Phi * s.tree.Total(),
-		LastSeq:     s.lastSeq,
-		Quarantined: len(s.quarantined),
+		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
+		LastSeq:     s.state.LastSeq,
+		Quarantined: len(s.state.Quarantined),
 	}
 	s.mu.RUnlock()
 	if resp.Budget > 0 {

@@ -66,16 +66,16 @@ type errorResponse struct {
 }
 
 func (st *Store) info(c *Campaign) campaignInfo {
-	snap := c.srv.SnapshotState()
+	participants, contribution, lastSeq := c.srv.Totals()
 	return campaignInfo{
 		ID:           c.Meta.ID,
 		Mechanism:    c.Meta.Mechanism,
 		Phi:          c.Meta.Params.Phi,
 		Fair:         c.Meta.Params.FairShare,
 		Incremental:  c.Meta.Incremental,
-		Participants: snap.Tree.NumParticipants(),
-		Contribution: snap.Tree.Total(),
-		LastSeq:      snap.LastSeq,
+		Participants: participants,
+		Contribution: contribution,
+		LastSeq:      lastSeq,
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/experiments"
+	"incentivetree/internal/ingest"
 	"incentivetree/internal/obs"
 )
 
@@ -245,5 +247,74 @@ func TestCreateDefaultsInherit(t *testing.T) {
 	}
 	if created.Mechanism != "geometric" || created.Phi != 0.3 {
 		t.Fatalf("defaults not inherited: %+v", created)
+	}
+}
+
+// TestInfoAllocsIndependentOfSize: a campaign summary (GET
+// /v1/campaigns, the create reply) reads three numbers under the read
+// lock. It must not clone the campaign's tree or ledger, so its
+// allocations stay zero however large the campaign grows.
+func TestInfoAllocsIndependentOfSize(t *testing.T) {
+	st := openStore(t, testConfig(t.TempDir()))
+	for _, n := range []int{10, 5000} {
+		c, err := st.Create(Meta{ID: fmt.Sprintf("c%d", n), Mechanism: "geometric"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := make([]ingest.Op, n)
+		for i := range ops {
+			ops[i] = ingest.Op{Kind: ingest.OpJoin, Name: fmt.Sprintf("p%d", i)}
+		}
+		for _, res := range c.Server().ApplyBatch(ops) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		if got := st.info(c); got.Participants != n || got.LastSeq != uint64(n) {
+			t.Fatalf("info = %+v, want %d participants at seq %d", got, n, n)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = st.info(c) }); allocs != 0 {
+			t.Fatalf("info on %d participants allocates %v times per call, want 0", n, allocs)
+		}
+	}
+}
+
+// TestOversizeJoinThenCrashReopens: a join too large for one journal
+// record is refused — over HTTP by the body bound (413), in process by
+// the record encoder — so a crash right after leaves a journal that
+// reopens cleanly with every acknowledged write.
+func TestOversizeJoinThenCrashReopens(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Close: this store "crashes" after the writes below.
+	h := st.Handler()
+	c, err := st.Create(Meta{ID: "c", Mechanism: "geometric"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := postJSON(h, "/v1/campaigns/c/join", `{"name":"ada"}`); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"name":%q}`, strings.Repeat("x", 2<<20))
+	if code := do(t, h, "POST", "/v1/campaigns/c/join", body, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB join = %d, want 413", code)
+	}
+	if err := c.Server().Join(strings.Repeat("y", 1<<26), "ada"); err == nil {
+		t.Fatal("64 MiB join was acknowledged")
+	}
+	if err := postJSON(h, "/v1/campaigns/c/join", `{"name":"bo","sponsor":"ada"}`); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, cfg)
+	c2, ok := st2.Get("c")
+	if !ok {
+		t.Fatal("campaign c lost across the crash")
+	}
+	if got := c2.Server().LastSeq(); got != 2 || !c2.Server().Has("bo") {
+		t.Fatalf("reopened at seq %d (has bo: %v), want 2 with bo", got, c2.Server().Has("bo"))
 	}
 }

@@ -4,8 +4,7 @@
 // guarded state and the journal must never diverge. A function that
 // mutates receiver-reachable state BEFORE calling journal.Append /
 // AppendBatch must roll the mutations back on the append-error path
-// — otherwise the state survives in memory but vanishes on restart,
-// the exact bug class PR 4 fixed in joinLocked.
+// — otherwise the state survives in memory but vanishes on restart.
 //
 // Concretely, for every function that calls Append/AppendBatch on a
 // journal.Writer, if a state write on the receiver (field assignment,
