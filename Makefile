@@ -63,7 +63,8 @@ benchsmoke:
 # record decoder and the snapshot codec must reject arbitrary
 # corruption cleanly and round-trip accepted input byte-identically,
 # and a live server must hold exactly the state its journal replays
-# to (FuzzLiveMatchesReplay). Corpus finds are kept under
+# to (FuzzLiveMatchesReplay), and TDRM's closed-form chain fold must
+# match the explicit RCT evaluation (FuzzTDRMClosedForm). Corpus finds are kept under
 # testdata/fuzz/ by go test; commit any that reproduce bugs.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
@@ -72,6 +73,7 @@ fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzLiveMatchesReplay -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzTDRMClosedForm -fuzztime=$(FUZZTIME) ./internal/tdrm/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
 # itreeload burst through the batched ingest pipeline, and verifies

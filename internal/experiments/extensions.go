@@ -122,7 +122,7 @@ func X02TDRMMuAblation() (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"The referral tree has 60 participants; mu only changes the RCT discretization.",
-		"Budget holds for every mu; evaluation cost scales with sum(ceil(C(u)/mu)).")
+		"Budget holds for every mu. Rewards folds each chain in closed form, so evaluation is O(n) while the RCT has sum(ceil(C(u)/mu)) nodes.")
 	return res, nil
 }
 

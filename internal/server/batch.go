@@ -106,7 +106,9 @@ func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
 	if !committed {
 		return results
 	}
-	rewards, mask, rerr := s.servedRewardsLocked()
+	// The version's table, built here under the write lock, also serves
+	// the reads that follow until the next commit.
+	t, _, rerr := s.tableLocked()
 	for i, op := range ops {
 		if errs[i] != nil {
 			continue
@@ -116,7 +118,7 @@ func (s *Server) ApplyBatch(ops []ingest.Op) []ingest.Result {
 			continue
 		}
 		e, _ := opEvent(op) // op applied, so it converted
-		results[i].Value = s.viewLocked(s.state.ByName[e.Name], rewards, mask)
+		results[i].Value = t.participant(s.state.Tree, s.state.ByName[e.Name])
 	}
 	return results
 }

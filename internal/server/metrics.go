@@ -18,7 +18,11 @@ import (
 //	itree_journal_last_seq     last persisted journal sequence number
 //
 // Gauges are computed at scrape time under the server's read lock; the
-// reward gauges cost one O(n) mechanism evaluation per scrape. labels
+// reward gauges read the current version's reward table, so a scrape
+// costs at most one O(n) mechanism evaluation per commit version, and
+// none when a batch or a read already built it. The table's reads are
+// counted on itree_rewards_cache_hits_total and
+// itree_rewards_cache_misses_total (scrapes are not). labels
 // (key/value pairs, e.g. "campaign", id) are stamped on every domain
 // gauge and ingest metric, so many deployments — the store's campaigns
 // — can share one registry without clobbering each other's series.
@@ -83,15 +87,28 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 			defer s.mu.RUnlock()
 			return s.state.Tree.Total()
 		}, labels...)
+	// The reward gauges read 0 when the evaluation fails: gauges have no
+	// error channel.
 	reg.GaugeFunc("itree_reward_total",
 		"Total reward R(T) under the configured mechanism.", func() float64 {
-			total, _ := s.rewardTotals()
-			return total
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			t, _, err := s.tableLocked()
+			if err != nil {
+				return 0
+			}
+			return t.total
 		}, labels...)
 	reg.GaugeFunc("itree_budget_utilization",
 		"Budget utilization R(T)/(Phi*C(T)); the paper's budget constraint holds iff <= 1.", func() float64 {
-			_, util := s.rewardTotals()
-			return util
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			t, _, err := s.tableLocked()
+			budget := s.mech.Params().Phi * s.state.Tree.Total()
+			if err != nil || !(budget > 0) {
+				return 0
+			}
+			return t.total / budget
 		}, labels...)
 	reg.GaugeFunc("itree_journal_last_seq",
 		"Sequence number of the last journal event applied.", func() float64 {
@@ -124,22 +141,9 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 			_, settled, claimed, _ := s.LedgerView()
 			return settled - claimed
 		}, labels...)
+	s.tableHits = reg.Counter("itree_rewards_cache_hits_total",
+		"Reward reads served by the commit version's existing reward table.", labels...)
+	s.tableMisses = reg.Counter("itree_rewards_cache_misses_total",
+		"Reward reads that built the commit version's reward table (one mechanism evaluation each).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
-}
-
-// rewardTotals evaluates the mechanism once and returns R(T) and the
-// budget utilization R(T)/(Phi*C(T)) (0 for an empty deployment or a
-// failed evaluation — gauges have no error channel).
-func (s *Server) rewardTotals() (total, utilization float64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rewards, err := s.rewardsLocked()
-	if err != nil {
-		return 0, 0
-	}
-	total = rewards.Total()
-	if budget := s.mech.Params().Phi * s.state.Tree.Total(); budget > 0 {
-		utilization = total / budget
-	}
-	return total, utilization
 }

@@ -127,7 +127,7 @@ func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.state = st
-	// LastSeq may move backwards on a restore, but the cache version must
+	// LastSeq may move backwards on a restore, but the table version must
 	// not alias old numbers onto new state — keep it strictly advancing.
 	s.version++
 	s.attachEngine()
@@ -161,8 +161,8 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 			return fmt.Errorf("server: replicated batch has a gap: %d after %d", events[i].Seq, events[i-1].Seq)
 		}
 	}
-	// Bumped on failure too, so the cache never serves a partially
-	// applied batch.
+	// Bumped before applying, so a failure part-way still retires the
+	// previous version's reward table.
 	s.version++
 	for _, e := range events {
 		if err := s.applyEventLocked(e); err != nil {

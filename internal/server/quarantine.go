@@ -25,8 +25,8 @@ var (
 // /v1/rewards, /v1/leaderboard, and participant views, while raw
 // contributions — and hence every other participant's reward — stay
 // exactly as recorded. The flag is journaled (crash-recoverable,
-// replicated) and bumps the commit version so cached reward tables
-// rebuild immediately.
+// replicated) and bumps the commit version so the reward table
+// rebuilds on the next read.
 func (s *Server) Quarantine(name string) error { return s.setQuarantine(name, true) }
 
 // Unquarantine clears a quarantine flag set by Quarantine.
@@ -42,8 +42,8 @@ func (s *Server) setQuarantine(name string, on bool) error {
 	if _, err := s.commitLocked(journal.Event{Kind: kind, Name: name}); err != nil {
 		return err
 	}
-	// The versioned read cache keys on the commit version, so this bump
-	// guarantees no pre-quarantine reward table is ever served again.
+	// The reward table is keyed by the commit version, so this bump
+	// guarantees no pre-quarantine table is ever served again.
 	s.version++
 	return nil
 }
@@ -82,11 +82,12 @@ func (s *Server) IsQuarantined(name string) bool {
 	return s.state.Quarantined[name]
 }
 
-// quarantineMaskLocked computes, per node id, whether the node's payout
-// is withheld — true when the node or any ancestor carries a flag. It
-// returns nil when nothing is quarantined, so the common case costs one
-// map-length check.
-func (s *Server) quarantineMaskLocked() []bool {
+// maskLocked zeroes, in place, the reward of every node whose payout is
+// withheld — a node carrying a quarantine flag and its whole subtree —
+// and returns the mask of those nodes by id. It returns nil when
+// nothing is quarantined, so the common case costs one map-length
+// check.
+func (s *Server) maskLocked(rewards core.Rewards) []bool {
 	if len(s.state.Quarantined) == 0 {
 		return nil
 	}
@@ -98,39 +99,13 @@ func (s *Server) quarantineMaskLocked() []bool {
 		}
 		s.state.Tree.Walk(id, func(v tree.NodeID) bool {
 			mask[v] = true
+			if int(v) < len(rewards) {
+				rewards[v] = 0
+			}
 			return true
 		})
 	}
 	return mask
-}
-
-// maskRewards returns a copy of rewards with masked entries zeroed.
-// The input is never mutated (it may be the incremental engine's
-// internal buffer).
-func maskRewards(rewards core.Rewards, mask []bool) core.Rewards {
-	out := make(core.Rewards, len(rewards))
-	copy(out, rewards)
-	for id, hit := range mask {
-		if hit && id < len(out) {
-			out[id] = 0
-		}
-	}
-	return out
-}
-
-// servedRewardsLocked returns the reward table as the API serves it:
-// the mechanism's table with quarantined subtrees zeroed, plus the
-// mask used (nil when no quarantine is active).
-func (s *Server) servedRewardsLocked() (core.Rewards, []bool, error) {
-	rewards, err := s.rewardsLocked()
-	if err != nil {
-		return nil, nil, err
-	}
-	mask := s.quarantineMaskLocked()
-	if mask != nil {
-		rewards = maskRewards(rewards, mask)
-	}
-	return rewards, mask, nil
 }
 
 // SetCommitObserver installs fn to be called after every committed

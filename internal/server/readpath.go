@@ -4,86 +4,158 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
-	"incentivetree/internal/query"
+	"incentivetree/internal/core"
+	"incentivetree/internal/tree"
 )
 
-// queryView is the cached read-side view of one committed state: the
-// full reward table sorted by name (GET /v1/rewards) and the same
-// participants ranked by reward (GET /v1/leaderboard). One view is
-// built per committed batch version, so bursts of reads between writes
-// cost one mechanism evaluation total.
-type queryView struct {
-	rewards rewardsResponse
-	leaders []Participant // by reward desc, name asc on ties
+// rewardTable is the served reward state of one commit version: one
+// mechanism (or engine) evaluation that the batch producing the version,
+// every read at it, the gauges and settlement all share. The commit
+// version — bumped per applied batch, quarantine flag, restore and
+// replicated batch — is its only invalidation. A table never changes
+// once built, except for its views, which are built on first use.
+type rewardTable struct {
+	version uint64
+	// rewards is the table as served: quarantined subtrees zeroed.
+	rewards core.Rewards
+	// mask flags, per node id, a withheld payout; nil when nothing is
+	// quarantined.
+	mask []bool
+	// total is R(T) before masking: budget accounting is about what the
+	// mechanism allocates, not what payout withholds.
+	total float64
+
+	viewsOnce sync.Once
+	byName    []Participant // GET /v1/rewards
+	leaders   []Participant // GET /v1/leaderboard: reward desc, name asc on ties
 }
 
-// initCache wires the versioned read cache; called at the end of New
-// so it sees the final metrics registry and labels.
-func (s *Server) initCache() {
-	s.cache = query.New(s.stateVersion, s.buildQueryView)
-	if s.metrics != nil {
-		s.cache.Counters(
-			s.metrics.Counter("itree_rewards_cache_hits_total",
-				"Reward-table reads served from the versioned cache.", s.labels...),
-			s.metrics.Counter("itree_rewards_cache_misses_total",
-				"Reward-table cache rebuilds (one mechanism evaluation each).", s.labels...),
-		)
+// tableSlot holds the newest reward table. Readers sharing the server's
+// read lock all see one version, so get collapses their misses into a
+// single build; a failed build is not stored, so the next get retries.
+type tableSlot struct {
+	mu  sync.Mutex // serializes builds
+	cur atomic.Pointer[rewardTable]
+}
+
+// get returns the stored table when it is at version and otherwise the
+// one build returns, reporting whether this call built.
+func (c *tableSlot) get(version uint64, build func() (*rewardTable, error)) (t *rewardTable, built bool, err error) {
+	if t := c.cur.Load(); t != nil && t.version == version {
+		return t, false, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.cur.Load(); t != nil && t.version == version {
+		return t, false, nil
+	}
+	if t, err = build(); err != nil {
+		return nil, true, err
+	}
+	c.cur.Store(t)
+	return t, true, nil
+}
+
+// tableLocked returns the reward table of the current commit version,
+// building it at most once per version. Callers hold s.mu, read or
+// write, so the version cannot move under them.
+func (s *Server) tableLocked() (*rewardTable, bool, error) {
+	return s.table.get(s.version, s.buildTableLocked)
+}
+
+// readTableLocked is tableLocked for an API read, which the cache
+// counters count: a hit when the table existed, a miss when this read
+// built (or failed to build) it.
+func (s *Server) readTableLocked() (*rewardTable, error) {
+	t, built, err := s.tableLocked()
+	c := s.tableHits
+	if built {
+		c = s.tableMisses
+	}
+	if c != nil {
+		c.Inc()
+	}
+	return t, err
+}
+
+// buildTableLocked evaluates the current state once — through the
+// incremental engine when one is attached — and masks the result in
+// place (both evaluations return a fresh slice).
+func (s *Server) buildTableLocked() (*rewardTable, error) {
+	var rewards core.Rewards
+	if s.engine != nil {
+		rewards = s.engine.Rewards()
+	} else {
+		var err error
+		if rewards, err = s.mech.Rewards(s.state.Tree); err != nil {
+			return nil, err
+		}
+	}
+	t := &rewardTable{version: s.version, rewards: rewards, total: rewards.Total()}
+	t.mask = s.maskLocked(rewards)
+	return t, nil
+}
+
+// participant builds one participant's wire view. tr is the tree at the
+// table's version: callers hold the server's lock.
+func (t *rewardTable) participant(tr *tree.Tree, id tree.NodeID) Participant {
+	sponsor := ""
+	if p := tr.Parent(id); p != tree.Root {
+		sponsor = tr.Label(p)
+	}
+	return Participant{
+		Name:         tr.Label(id),
+		Sponsor:      sponsor,
+		Contribution: tr.Contribution(id),
+		Reward:       t.rewards.Of(id),
+		Profit:       core.Profit(tr, t.rewards, id),
+		Recruits:     tr.NumChildren(id),
+		Quarantined:  t.mask != nil && int(id) < len(t.mask) && t.mask[id],
 	}
 }
 
-// stateVersion reads the commit version: bumped once per applied batch
-// and per state restore, so any cached view keyed to it is a
-// consistent batch-boundary snapshot — never a torn mid-batch state
-// (batches hold the write lock end to end).
-func (s *Server) stateVersion() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
-
-// buildQueryView evaluates the mechanism once and derives both read
-// views under the read lock, returning the version they correspond to.
-func (s *Server) buildQueryView() (uint64, *queryView, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// servedRewardsLocked zeroes quarantined subtrees, so both views —
-	// and TotalReward, which sums the served table — reflect withheld
-	// payouts while Total (raw contribution) stays as recorded.
-	rewards, mask, err := s.servedRewardsLocked()
-	if err != nil {
-		return 0, nil, err
-	}
-	resp := rewardsResponse{
-		Mechanism:    s.mech.Name(),
-		Total:        s.state.Tree.Total(),
-		TotalReward:  rewards.Total(),
-		Budget:       s.mech.Params().Phi * s.state.Tree.Total(),
-		Participants: make([]Participant, 0, s.state.Tree.NumParticipants()),
-	}
-	for _, u := range s.state.Tree.Nodes() {
-		resp.Participants = append(resp.Participants, s.viewLocked(u, rewards, mask))
-	}
-	// Sorted by name so the table is deterministic even across snapshot
-	// restores, which renumber node ids in DFS preorder.
-	sort.Slice(resp.Participants, func(i, j int) bool {
-		return resp.Participants[i].Name < resp.Participants[j].Name
+// views returns every participant sorted by name and the same
+// participants ranked by reward, built on the first call. tr is the
+// tree at the table's version: callers hold the server's lock.
+func (t *rewardTable) views(tr *tree.Tree) (byName, leaders []Participant) {
+	t.viewsOnce.Do(func() {
+		byName := make([]Participant, 0, tr.NumParticipants())
+		for _, u := range tr.Nodes() {
+			byName = append(byName, t.participant(tr, u))
+		}
+		// Sorted by name so the table is deterministic even across snapshot
+		// restores, which renumber node ids in DFS preorder.
+		sort.Slice(byName, func(i, j int) bool { return byName[i].Name < byName[j].Name })
+		leaders := make([]Participant, len(byName))
+		copy(leaders, byName)
+		sort.SliceStable(leaders, func(i, j int) bool { return leaders[i].Reward > leaders[j].Reward })
+		t.byName, t.leaders = byName, leaders
 	})
-	leaders := make([]Participant, len(resp.Participants))
-	copy(leaders, resp.Participants)
-	sort.SliceStable(leaders, func(i, j int) bool {
-		return leaders[i].Reward > leaders[j].Reward
-	})
-	return s.version, &queryView{rewards: resp, leaders: leaders}, nil
+	return t.byName, t.leaders
 }
 
 func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
-	view, err := s.cache.Get()
+	s.mu.RLock()
+	t, err := s.readTableLocked()
 	if err != nil {
+		s.mu.RUnlock()
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, view.rewards)
+	// TotalReward sums the served table, so it reflects withheld payouts
+	// while Total (raw contribution) stays as recorded.
+	resp := rewardsResponse{
+		Mechanism:   s.mech.Name(),
+		Total:       s.state.Tree.Total(),
+		TotalReward: t.rewards.Total(),
+		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
+	}
+	resp.Participants, _ = t.views(s.state.Tree)
+	s.mu.RUnlock()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // leaderboardResponse is the wire format of GET /v1/leaderboard.
@@ -95,7 +167,7 @@ type leaderboardResponse struct {
 }
 
 // handleLeaderboard serves the top-K participants by reward from the
-// versioned cache. ?k=N defaults to 10 and is clamped to the
+// version's table. ?k=N defaults to 10 and is clamped to the
 // participant count; a malformed or non-positive k is a 400.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 	k := 10
@@ -107,18 +179,22 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	view, err := s.cache.Get()
+	s.mu.RLock()
+	t, err := s.readTableLocked()
 	if err != nil {
+		s.mu.RUnlock()
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return
 	}
-	if k > len(view.leaders) {
-		k = len(view.leaders)
+	_, leaders := t.views(s.state.Tree)
+	s.mu.RUnlock()
+	if k > len(leaders) {
+		k = len(leaders)
 	}
 	writeJSON(w, http.StatusOK, leaderboardResponse{
 		Mechanism:    s.mech.Name(),
 		K:            k,
-		Participants: len(view.leaders),
-		Leaders:      view.leaders[:k],
+		Participants: len(leaders),
+		Leaders:      leaders[:k],
 	})
 }

@@ -28,11 +28,17 @@
 // recovery and replication replay the journal with. With WithBatching,
 // writes flow through a group-commit ingest pipeline (one lock
 // acquisition, journal sync, and reward recompute per batch; full
-// queues shed with 429); reward reads are served from a versioned
-// cache invalidated by commit version (internal/query).
+// queues shed with 429).
+//
+// Rewards are evaluated at most once per commit version, into one
+// reward table (readpath.go) that the batch producing the version,
+// participant reads, /v1/rewards, /v1/leaderboard, /v1/stats and the
+// metrics gauges all share: one O(n) evaluation per version, and O(1)
+// per participant read after it.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,7 +52,6 @@ import (
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
-	"incentivetree/internal/query"
 	"incentivetree/internal/tree"
 )
 
@@ -58,8 +63,12 @@ type Server struct {
 	labels    []string      // metric labels from WithMetrics
 	useEngine bool          // WithIncremental requested
 	batching  *ingest.Options
-	committer *ingest.Committer        // non-nil iff WithBatching
-	cache     *query.Cache[*queryView] // versioned read-side views
+	committer *ingest.Committer // non-nil iff WithBatching
+	// table holds the reward table of the newest version read or
+	// committed; tableHits/tableMisses count API reads against it
+	// (nil = uninstrumented).
+	table                  tableSlot
+	tableHits, tableMisses *obs.Counter
 
 	mu sync.RWMutex
 	// state is the campaign state — tree, names, last seq, quarantine
@@ -78,8 +87,9 @@ type Server struct {
 	// settleObs, when metrics are attached, counts settle/claim
 	// operations (see settle_http.go).
 	settleObs *settleCounters
-	// version counts committed batches and state restores; it keys the
-	// read cache and, unlike LastSeq, never moves backwards in-process.
+	// version counts committed batches, quarantine flags, state
+	// restores and replicated batches; it keys the reward table and,
+	// unlike LastSeq, never moves backwards in-process.
 	version uint64
 	// engine, when non-nil, observes state's tree and maintains rewards
 	// in O(depth) per write; applyEventLocked notifies it.
@@ -93,7 +103,6 @@ func New(m core.Mechanism, opts ...Option) *Server {
 		opt(s)
 	}
 	s.attachEngine()
-	s.initCache()
 	if s.batching != nil {
 		// Deferred past option application so the pipeline inherits the
 		// final registry/labels regardless of option order.
@@ -109,12 +118,14 @@ func New(m core.Mechanism, opts ...Option) *Server {
 
 // WithIncremental serves rewards from an incrementally-maintained
 // engine (internal/incremental) when the mechanism admits one
-// (Geometric, CDRM family): writes cost O(depth) and reward reads skip
-// the O(n) mechanism evaluation. Mechanisms without a local
-// decomposition (TDRM, L-Pachira) silently keep per-read full
-// evaluation. Engine-served rewards equal full evaluation up to
-// floating-point summation order; deployments that need bit-identical
-// reward tables across snapshot recovery should leave this off.
+// (Geometric, CDRM family): writes cost O(depth) and a version's reward
+// table is a copy of the engine's instead of an O(n) mechanism
+// evaluation. Mechanisms without a local decomposition (TDRM,
+// L-Pachira) silently keep one full evaluation per version.
+// Engine-served rewards equal full evaluation up to floating-point
+// summation order; deployments that need bit-identical reward tables
+// across snapshot recovery should leave this off. Settlement grants
+// from a full evaluation either way.
 func WithIncremental() Option {
 	return func(s *Server) { s.useEngine = true }
 }
@@ -278,7 +289,8 @@ func (s *Server) Has(name string) bool {
 	return ok
 }
 
-// participant evaluates the mechanism and returns one participant's view.
+// participant returns one participant's view from the version's
+// reward table.
 func (s *Server) participant(name string) (Participant, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -286,40 +298,11 @@ func (s *Server) participant(name string) (Participant, error) {
 	if !ok {
 		return Participant{}, fmt.Errorf("unknown participant %q", name)
 	}
-	rewards, mask, err := s.servedRewardsLocked()
+	t, err := s.readTableLocked()
 	if err != nil {
 		return Participant{}, err
 	}
-	return s.viewLocked(id, rewards, mask), nil
-}
-
-// rewardsLocked returns the current reward table, served from the
-// incremental engine when one is attached and by full mechanism
-// evaluation otherwise. Callers hold at least the read lock.
-func (s *Server) rewardsLocked() (core.Rewards, error) {
-	if s.engine != nil {
-		return s.engine.Rewards(), nil
-	}
-	return s.mech.Rewards(s.state.Tree)
-}
-
-// viewLocked builds one participant's wire view. rewards is the table
-// as served (already masked when a quarantine is active); mask, when
-// non-nil, flags the nodes whose payout is withheld.
-func (s *Server) viewLocked(id tree.NodeID, rewards core.Rewards, mask []bool) Participant {
-	sponsor := ""
-	if p := s.state.Tree.Parent(id); p != tree.Root {
-		sponsor = s.state.Tree.Label(p)
-	}
-	return Participant{
-		Name:         s.state.Tree.Label(id),
-		Sponsor:      sponsor,
-		Contribution: s.state.Tree.Contribution(id),
-		Reward:       rewards.Of(id),
-		Profit:       core.Profit(s.state.Tree, rewards, id),
-		Recruits:     s.state.Tree.NumChildren(id),
-		Quarantined:  mask != nil && int(id) < len(mask) && mask[id],
-	}
+	return t.participant(s.state.Tree, id), nil
 }
 
 func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
@@ -348,7 +331,7 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	rewards, err := s.rewardsLocked()
+	t, err := s.readTableLocked()
 	if err != nil {
 		s.mu.RUnlock()
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
@@ -358,7 +341,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
 		Tree:        s.state.Tree.ComputeStats(),
-		TotalReward: rewards.Total(),
+		TotalReward: t.total,
 		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
 		LastSeq:     s.state.LastSeq,
 		Quarantined: len(s.state.Quarantined),
@@ -373,10 +356,20 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// writeJSON answers with v as JSON. v is encoded before the header
+// goes out, so a value JSON cannot hold — a +Inf reward after an
+// overflowing contribution — answers 500 with a JSON error instead of
+// a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		// An errorResponse always encodes.
+		_ = json.NewEncoder(&body).Encode(errorResponse{"encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors past the header are unrecoverable mid-response;
-	// the types marshalled here cannot fail.
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body.Bytes())
 }

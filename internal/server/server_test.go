@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"incentivetree/internal/core"
 	"incentivetree/internal/geometric"
 	"incentivetree/internal/obs"
+	"incentivetree/internal/tdrm"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -379,5 +382,66 @@ func TestConcurrentJoinsAndReads(t *testing.T) {
 	}
 	if resp.Total != 20 {
 		t.Fatalf("total = %v, want 20", resp.Total)
+	}
+}
+
+// TestUnencodableResponseIs500: once C(T) overflows to +Inf the reward
+// table and the budget cannot be written as JSON; the API answers 500
+// with a JSON error instead of a 200 with an empty body. Encodable
+// bodies keep their trailing newline.
+func TestUnencodableResponseIs500(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, name := range []string{"a", "b"} {
+		if err := s.Join(name, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Contribute(name, 1.7e308); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"/v1/rewards", "/v1/stats"} {
+		var body errorResponse
+		resp := getJSON(t, ts.URL+path, &body)
+		if resp.StatusCode != http.StatusInternalServerError || body.Error == "" {
+			t.Fatalf("GET %s = %d %+v, want 500 with a JSON error", path, resp.StatusCode, body)
+		}
+	}
+	resp := getJSON(t, ts.URL+"/v1/healthz", nil)
+	if body, err := io.ReadAll(resp.Body); err != nil || string(body) != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("healthz body = %q, %v", body, err)
+	}
+}
+
+// TestTDRMHugeContributionKeepsBudget: a contribution of 1e19 — a chain
+// of 1e19 RCT nodes — is served in closed form with finite rewards and
+// R(T) <= Phi*C(T).
+func TestTDRMHugeContributionKeepsBudget(t *testing.T) {
+	m, err := tdrm.Default(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(m).Handler())
+	t.Cleanup(ts.Close)
+	for _, req := range []joinRequest{{Name: "a"}, {Name: "b", Sponsor: "a"}} {
+		if resp := postJSON(t, ts.URL+"/v1/join", req); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("join %s = %d", req.Name, resp.StatusCode)
+		}
+	}
+	for _, req := range []contributeRequest{{Name: "a", Amount: 3}, {Name: "b", Amount: 1e19}} {
+		if resp := postJSON(t, ts.URL+"/v1/contribute", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("contribute %s = %d", req.Name, resp.StatusCode)
+		}
+	}
+	var rw rewardsResponse
+	if resp := getJSON(t, ts.URL+"/v1/rewards", &rw); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rewards = %d", resp.StatusCode)
+	}
+	for _, p := range rw.Participants {
+		if math.IsInf(p.Reward, 0) || math.IsNaN(p.Reward) || p.Reward <= 0 {
+			t.Fatalf("%s served reward %v", p.Name, p.Reward)
+		}
+	}
+	if !(rw.TotalReward <= rw.Budget) {
+		t.Fatalf("R(T) = %v over Phi*C(T) = %v", rw.TotalReward, rw.Budget)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"incentivetree/internal/core"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/settle"
@@ -159,7 +160,7 @@ func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
 func (s *Server) Settle() (EpochSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rewards, _, err := s.servedRewardsLocked()
+	rewards, err := s.canonicalRewardsLocked()
 	if err != nil {
 		return EpochSummary{}, fmt.Errorf("server: settle: %w", err)
 	}
@@ -189,6 +190,27 @@ func (s *Server) Settle() (EpochSummary, error) {
 		s.settleObs.capped.Add(uint64(stats.Capped))
 	}
 	return s.epochSummaryLocked(ev.Epoch), nil
+}
+
+// canonicalRewardsLocked is the served table as a full evaluation
+// computes it. An incremental engine's delta-accumulated table differs
+// by ulps from one rebuilt after a restart, and settled grants must not
+// depend on crash history, so with an engine attached this pays one
+// O(n) mechanism evaluation per settle.
+func (s *Server) canonicalRewardsLocked() (core.Rewards, error) {
+	if s.engine == nil {
+		t, _, err := s.tableLocked()
+		if err != nil {
+			return nil, err
+		}
+		return t.rewards, nil
+	}
+	rewards, err := s.mech.Rewards(s.state.Tree)
+	if err != nil {
+		return nil, err
+	}
+	s.maskLocked(rewards)
+	return rewards, nil
 }
 
 // Claim pays out name's share of the given settled epoch (0 means the

@@ -12,6 +12,12 @@
 // epsilon-chain is the participant's best possible Sybil split, the
 // mechanism pre-empts the attack: no participant benefits from splitting
 // manually (USA holds).
+//
+// Rewards never builds the RCT. Along a chain the weighted subtree sums
+// are geometric series, so each chain folds in closed form and an
+// evaluation costs O(n) however large C(u)/mu grows. Transform and
+// NodeRewards are the paper-literal construction, kept as the reference
+// the closed form is tested against.
 package tdrm
 
 import (
@@ -49,10 +55,23 @@ type RCT struct {
 // zero-contribution participants still occupy a node (the paper leaves
 // C(u) = 0 implicit; a zero-length chain would disconnect u's children).
 func ChainLength(c, mu float64) int {
-	if c <= 0 {
-		return 1
+	n, _ := chainShape(c, mu)
+	return int(n)
+}
+
+// chainShape returns N_u = max(1, ceil(C/mu)) as a float64 and the head's
+// contribution C - (N_u-1)*mu. Past 2^53 nodes N_u-1 rounds to N_u and the
+// subtraction loses the remainder, so the head is clamped to [0, mu].
+func chainShape(c, mu float64) (n, head float64) {
+	n = 1
+	if c > 0 {
+		n = math.Ceil(c / mu)
 	}
-	return int(math.Ceil(c / mu))
+	head = c - (n-1)*mu
+	if n > 1<<53 {
+		head = math.Max(0, math.Min(head, mu))
+	}
+	return n, head
 }
 
 // Transform builds the reward computation tree of t with contribution cap
@@ -79,8 +98,11 @@ func Transform(t *tree.Tree, mu float64) (*RCT, error) {
 	for id := 1; id < t.Len(); id++ {
 		u := tree.NodeID(id)
 		c := t.Contribution(u)
-		n := ChainLength(c, mu)
-		head := c - float64(n-1)*mu
+		nf, head := chainShape(c, mu)
+		if nf > float64(math.MaxInt32-rct.T.Len()) {
+			return nil, fmt.Errorf("tdrm: transform: participant %q needs %g chain nodes: %w", t.Label(u), nf, tree.ErrTreeFull)
+		}
+		n := int(nf)
 		parent := tail[t.Parent(u)]
 		chain := make([]tree.NodeID, 0, n)
 		for i := 0; i < n; i++ {

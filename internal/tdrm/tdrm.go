@@ -2,7 +2,7 @@ package tdrm
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/tree"
@@ -11,10 +11,11 @@ import (
 // Mechanism is the TDRM mechanism of Algorithm 4. Construct with New.
 type Mechanism struct {
 	params core.Params
-	lambda float64 // quadratic-term scale, lambda < Phi - phi
-	mu     float64 // contribution cap simulated by the RCT
-	a      float64 // geometric decay
-	b      float64 // bubble fraction, a + b < 1
+	lambda float64     // quadratic-term scale, lambda < Phi - phi
+	mu     float64     // contribution cap simulated by the RCT
+	a      float64     // geometric decay
+	b      float64     // bubble fraction, a + b < 1
+	pow    [64]float64 // pow[k] = a^k, for RewardsInto
 }
 
 // New validates the Theorem 4 parameter regime: 0 < lambda < Phi - phi,
@@ -38,7 +39,12 @@ func New(p core.Params, lambda, mu, a, b float64) (*Mechanism, error) {
 		return nil, fmt.Errorf("%w: b = %v, need b > 0 and a+b < 1 (a = %v)",
 			core.ErrBadParams, b, a)
 	}
-	return &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b}, nil
+	m := &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b}
+	m.pow[0] = 1
+	for k := 1; k < len(m.pow); k++ {
+		m.pow[k] = m.pow[k-1] * a
+	}
+	return m, nil
 }
 
 // Default returns the TDRM instance used across the experiments:
@@ -94,99 +100,59 @@ func (m *Mechanism) NodeRewards(r *RCT) core.Rewards {
 	return out
 }
 
-// Rewards implements core.Mechanism: transform the referral tree into its
-// RCT, compute per-chain-node rewards, and fold each chain back onto its
-// participant.
+// Rewards implements core.Mechanism: the rewards of the referral tree's
+// RCT, each chain folded back onto its participant (see RewardsInto).
 func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// rctNode is one chain node of the flat RCT used by RewardsInto: its
-// parent in RCT id space, the referral-tree participant it folds back
-// onto, and its chain contribution. 16 bytes, so a chain append is one
-// bounds check and two stores.
-type rctNode struct {
-	parent tree.NodeID
-	origin tree.NodeID
-	c      float64
-}
-
-// evalScratch holds the per-evaluation working state of RewardsInto.
-// The RCT exists here only as a flat rctNode array — not as a
-// tree.Tree: the transform-evaluate-fold pipeline never needs sibling
-// chains, labels, or structural validation of the chain tree it just
-// built itself, and the hot search loops (Sybil best-attack
-// enumeration, incremental recompute) rebuild the RCT for every
-// candidate arrangement. Pooled because evaluations are short and
-// concurrent.
-type evalScratch struct {
-	rct   []rctNode
-	tails []tree.NodeID
-	sums  []float64
-}
-
-var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{} },
-}
-
-// RewardsInto implements core.IntoMechanism. It performs the same
-// transform-evaluate-fold pipeline as Transform + NodeRewards but on
-// pooled scratch arrays: chain nodes are appended in the exact order
-// Transform's rt.Add calls create them, and per-chain-node rewards are
-// folded directly into buf in the same order as Rewards, giving
-// identical floating-point results with zero steady-state allocations.
+// RewardsInto implements core.IntoMechanism. It computes what Transform
+// + NodeRewards + the per-chain fold compute, without building the RCT:
+// a participant u with chain length N = N_u, head contribution h and
+//
+//	X_u = sum over u's children v of S(head_v)
+//
+// has S(head_u) = h + mu*G + a^N*X_u and R(u) = scale*(h*S(head_u) +
+// mu*sum_{k=2..N} S(m_k)) + phi*C(u), where G = sum_{i=1..N-1} a^i and
+// the mu-nodes' sums form geometric series in a^(N-1) too. So an
+// evaluation is O(n) whatever the contributions are, where the RCT has
+// sum(N_u) nodes. Results equal the RCT evaluation up to floating-point
+// summation order.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	contribs, parents := t.Contributions(), t.Parents()
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	if cap(sc.tails) < len(parents) {
-		sc.tails = make([]tree.NodeID, len(parents))
-	}
-	tails := sc.tails[:len(parents)]
-	tails[tree.Root] = tree.Root
-	rct := append(sc.rct[:0], rctNode{parent: tree.None, origin: tree.Root})
-	// Referral-tree ids are topological, so tails[parent] is final before
-	// any child chain attaches below it.
-	for id := 1; id < len(parents); id++ {
-		u := tree.NodeID(id)
-		c := contribs[id]
-		n := ChainLength(c, m.mu)
-		parent := tails[parents[id]]
-		w := tree.NodeID(len(rct))
-		rct = append(rct, rctNode{parent: parent, origin: u, c: c - float64(n-1)*m.mu})
-		parent = w
-		for i := 1; i < n; i++ {
-			w = tree.NodeID(len(rct))
-			rct = append(rct, rctNode{parent: parent, origin: u, c: m.mu})
-			parent = w
-		}
-		tails[u] = parent
-	}
-	sc.rct = rct
-	rn := len(rct)
-	if cap(sc.sums) < rn {
-		sc.sums = make([]float64, rn)
-	}
-	s := sc.sums[:rn]
-	for i := range s {
-		s[i] = 0
-	}
-	for w := rn - 1; w >= 1; w-- {
-		s[w] += rct[w].c
-		s[rct[w].parent] += m.a * s[w]
-	}
 	out := core.ResizeRewards(buf, len(parents))
-	scale := m.lambda * m.b / m.mu
-	// RCT ids within a chain ascend head-to-tail, so the forward scan folds
-	// each chain in the same order Rewards' explicit per-chain loop does.
-	for w := 1; w < rn; w++ {
-		c := rct[w].c
-		out[rct[w].origin] += scale*c*s[w] + m.params.FairShare*c
+	a, mu := m.a, m.mu
+	scale := m.lambda * m.b / mu
+	inv := 1 / (1 - a)
+	// Referral-tree ids are topological, so a reverse scan finishes every
+	// child before its parent: out[u] holds X_u when u is reached, and is
+	// then overwritten with R(u).
+	for id := len(parents) - 1; id >= 1; id-- {
+		c := contribs[id]
+		n, h := chainShape(c, mu)
+		x := out[id]
+		pn := m.powA(n - 1)
+		g := a * (1 - pn) * inv
+		head := h + mu*g + a*pn*x
+		tail := mu*(n-1-g)*inv + g*x // sum of S over the N-1 mu-nodes
+		out[id] = scale*(h*head+mu*tail) + m.params.FairShare*c
+		out[parents[id]] += head
 	}
+	out[tree.Root] = 0
 	return out, nil
+}
+
+// powA returns a^k for a whole k >= 0. Short chains, nearly every
+// participant's, read a table: a data-dependent math.Pow or squaring
+// loop per participant costs more than the rest of the fold.
+func (m *Mechanism) powA(k float64) float64 {
+	if k < float64(len(m.pow)) {
+		return m.pow[int(k)]
+	}
+	return math.Pow(m.a, k)
 }
 
 // Preliminary is the budget-violating quadratic mechanism of Algorithm 3,
