@@ -43,7 +43,7 @@ type tableSlot struct {
 
 // get returns the stored table when it is at version and otherwise the
 // one build returns, reporting whether this call built.
-func (c *tableSlot) get(version uint64, build func() (*rewardTable, error)) (t *rewardTable, built bool, err error) {
+func (c *tableSlot) get(version uint64, build func() (*rewardTable, error)) (*rewardTable, bool, error) {
 	if t := c.cur.Load(); t != nil && t.version == version {
 		return t, false, nil
 	}
@@ -52,7 +52,8 @@ func (c *tableSlot) get(version uint64, build func() (*rewardTable, error)) (t *
 	if t := c.cur.Load(); t != nil && t.version == version {
 		return t, false, nil
 	}
-	if t, err = build(); err != nil {
+	t, err := build()
+	if err != nil {
 		return nil, true, err
 	}
 	c.cur.Store(t)
