@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/heap"
 	"net/http"
 	"sort"
 	"strconv"
@@ -16,7 +17,7 @@ import (
 // every read at it, the gauges and settlement all share. The commit
 // version — bumped per applied batch, quarantine flag, restore and
 // replicated batch — is its only invalidation. A table never changes
-// once built, except for its views, which are built on first use.
+// once built, except for its name-sorted view, built on first use.
 type rewardTable struct {
 	version uint64
 	// rewards is the table as served: quarantined subtrees zeroed.
@@ -28,9 +29,8 @@ type rewardTable struct {
 	// mechanism allocates, not what payout withholds.
 	total float64
 
-	viewsOnce sync.Once
-	byName    []Participant // GET /v1/rewards
-	leaders   []Participant // GET /v1/leaderboard: reward desc, name asc on ties
+	byNameOnce sync.Once
+	byName     []Participant // GET /v1/rewards
 }
 
 // tableSlot holds the newest reward table. Readers sharing the server's
@@ -118,11 +118,11 @@ func (t *rewardTable) participant(tr *tree.Tree, id tree.NodeID) Participant {
 	}
 }
 
-// views returns every participant sorted by name and the same
-// participants ranked by reward, built on the first call. tr is the
-// tree at the table's version: callers hold the server's lock.
-func (t *rewardTable) views(tr *tree.Tree) (byName, leaders []Participant) {
-	t.viewsOnce.Do(func() {
+// participants returns every participant sorted by name, built on the
+// first call. tr is the tree at the table's version: callers hold the
+// server's lock.
+func (t *rewardTable) participants(tr *tree.Tree) []Participant {
+	t.byNameOnce.Do(func() {
 		byName := make([]Participant, 0, tr.NumParticipants())
 		for _, u := range tr.Nodes() {
 			byName = append(byName, t.participant(tr, u))
@@ -130,12 +130,61 @@ func (t *rewardTable) views(tr *tree.Tree) (byName, leaders []Participant) {
 		// Sorted by name so the table is deterministic even across snapshot
 		// restores, which renumber node ids in DFS preorder.
 		sort.Slice(byName, func(i, j int) bool { return byName[i].Name < byName[j].Name })
-		leaders := make([]Participant, len(byName))
-		copy(leaders, byName)
-		sort.SliceStable(leaders, func(i, j int) bool { return leaders[i].Reward > leaders[j].Reward })
-		t.byName, t.leaders = byName, leaders
+		t.byName = byName
 	})
-	return t.byName, t.leaders
+	return t.byName
+}
+
+// leaders returns the k participants ranked first by reward (desc, name
+// asc on ties), selected through a k-bounded min-heap: O(n log k) per
+// read, and nothing the size of the population outlives the read. tr is
+// the tree at the table's version: callers hold the server's lock.
+func (t *rewardTable) leaders(tr *tree.Tree, k int) []Participant {
+	h := &rankHeap{t: t, tr: tr, ids: make([]tree.NodeID, 0, min(k, tr.NumParticipants()))}
+	for id := 1; id < tr.Len(); id++ {
+		u := tree.NodeID(id)
+		switch {
+		case len(h.ids) < k:
+			heap.Push(h, u)
+		case h.above(u, h.ids[0]):
+			h.ids[0] = u
+			heap.Fix(h, 0)
+		}
+	}
+	sort.Slice(h.ids, func(i, j int) bool { return h.above(h.ids[i], h.ids[j]) })
+	out := make([]Participant, len(h.ids))
+	for i, u := range h.ids {
+		out[i] = t.participant(tr, u)
+	}
+	return out
+}
+
+// rankHeap is a min-heap of node ids by leaderboard rank: its root is
+// the lowest-ranked participant selected so far.
+type rankHeap struct {
+	t   *rewardTable
+	tr  *tree.Tree
+	ids []tree.NodeID
+}
+
+// above reports whether u ranks before v: more reward, or the same
+// reward and an earlier name.
+func (h *rankHeap) above(u, v tree.NodeID) bool {
+	ru, rv := h.t.rewards.Of(u), h.t.rewards.Of(v)
+	if ru != rv {
+		return ru > rv
+	}
+	return h.tr.Label(u) < h.tr.Label(v)
+}
+
+func (h *rankHeap) Len() int           { return len(h.ids) }
+func (h *rankHeap) Less(i, j int) bool { return h.above(h.ids[j], h.ids[i]) }
+func (h *rankHeap) Swap(i, j int)      { h.ids[i], h.ids[j] = h.ids[j], h.ids[i] }
+func (h *rankHeap) Push(x any)         { h.ids = append(h.ids, x.(tree.NodeID)) }
+func (h *rankHeap) Pop() any {
+	u := h.ids[len(h.ids)-1]
+	h.ids = h.ids[:len(h.ids)-1]
+	return u
 }
 
 func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
@@ -154,7 +203,7 @@ func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
 		TotalReward: t.rewards.Total(),
 		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
 	}
-	resp.Participants, _ = t.views(s.state.Tree)
+	resp.Participants = t.participants(s.state.Tree)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -187,15 +236,13 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return
 	}
-	_, leaders := t.views(s.state.Tree)
+	leaders := t.leaders(s.state.Tree, k)
+	n := s.state.Tree.NumParticipants()
 	s.mu.RUnlock()
-	if k > len(leaders) {
-		k = len(leaders)
-	}
 	writeJSON(w, http.StatusOK, leaderboardResponse{
 		Mechanism:    s.mech.Name(),
-		K:            k,
-		Participants: len(leaders),
-		Leaders:      leaders[:k],
+		K:            len(leaders),
+		Participants: n,
+		Leaders:      leaders,
 	})
 }

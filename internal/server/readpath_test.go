@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,4 +157,46 @@ func TestRewardTableOneEvaluationPerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost("reads after restore", 1, readAll)
+}
+
+// TestLeaderboardMatchesFullRanking: the k-bounded selection serves, for
+// every k, the first k rows of the whole table ranked by reward (desc,
+// name asc on ties), also when many rewards tie and node ids run against
+// name order.
+func TestLeaderboardMatchesFullRanking(t *testing.T) {
+	s, ts := newTestServer(t)
+	const n = 40
+	for i := n - 1; i >= 0; i-- {
+		name, sponsor := fmt.Sprintf("p%02d", i), ""
+		if i < n-3 {
+			sponsor = fmt.Sprintf("p%02d", n-1-i%3) // under one of three roots
+		}
+		if err := s.Join(name, sponsor); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Contribute(name, float64(1+i%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all rewardsResponse
+	getJSON(t, ts.URL+"/v1/rewards", &all)
+	ranked := append([]Participant(nil), all.Participants...)
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Reward > ranked[j].Reward })
+	ties := 0
+	for i := 1; i < len(ranked); i++ {
+		if ranked[i].Reward == ranked[i-1].Reward {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("fixture has no tied rewards")
+	}
+	for _, k := range []int{1, 2, 3, 7, n - 1, n, n + 5} {
+		var lb leaderboardResponse
+		getJSON(t, fmt.Sprintf("%s/v1/leaderboard?k=%d", ts.URL, k), &lb)
+		want := ranked[:min(k, n)]
+		if lb.K != len(want) || lb.Participants != n || !reflect.DeepEqual(lb.Leaders, want) {
+			t.Fatalf("k=%d: leaderboard = %+v\nwant k=%d participants=%d leaders=%+v", k, lb, len(want), n, want)
+		}
+	}
 }
