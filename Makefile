@@ -63,8 +63,10 @@ benchsmoke:
 # record decoder and the snapshot codec must reject arbitrary
 # corruption cleanly and round-trip accepted input byte-identically,
 # and a live server must hold exactly the state its journal replays
-# to (FuzzLiveMatchesReplay), and TDRM's closed-form chain fold must
-# match the explicit RCT evaluation (FuzzTDRMClosedForm). Corpus finds are kept under
+# to (FuzzLiveMatchesReplay), TDRM's closed-form chain fold must
+# match the explicit RCT evaluation (FuzzTDRMClosedForm), and the exact
+# TDRM engine must serve a full evaluation's bits after every write
+# (FuzzTDRMEngineExact). Corpus finds are kept under
 # testdata/fuzz/ by go test; commit any that reproduce bugs.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
@@ -74,6 +76,7 @@ fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzLiveMatchesReplay -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzTDRMClosedForm -fuzztime=$(FUZZTIME) ./internal/tdrm/
+	$(GO) test -run=^$$ -fuzz=FuzzTDRMEngineExact -fuzztime=$(FUZZTIME) ./internal/incremental/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
 # itreeload burst through the batched ingest pipeline, and verifies

@@ -27,8 +27,9 @@ const sampleEvery = 8
 //
 // The serving daemon wraps its configured mechanism with this before
 // building the server, which makes the per-mechanism compute shape
-// (O(depth) incremental candidates vs. full-tree TDRM/L-Pachira
-// evaluation) visible on /metrics.
+// (root-path incremental candidates vs. full-tree L-Pachira
+// evaluation) visible on /metrics. A TDRM server evaluates only through
+// its exact engine's writes, which itree_incremental_op_seconds times.
 func Instrumented(m core.Mechanism, reg *obs.Registry) core.Mechanism {
 	return &timedMechanism{
 		inner: m,

@@ -35,8 +35,10 @@ func TestForTreeSelectsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := ForTree(tm, tree.New()); ok {
-		t.Errorf("tdrm has no local decomposition, got %T", e)
+	if e, ok := ForTree(tm, tree.New()); !ok {
+		t.Error("tdrm should get an engine")
+	} else if _, isTDRM := e.(*TDRMEngine); !isTDRM {
+		t.Errorf("tdrm engine type = %T", e)
 	}
 }
 

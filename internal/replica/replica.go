@@ -46,6 +46,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 
@@ -86,8 +87,20 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers with v as JSON. v is encoded before the header
+// goes out, so a value JSON cannot hold — a +Inf total after an
+// overflowing contribution — answers 500 with a JSON error instead of
+// a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		// An errorResponse always encodes.
+		_ = json.NewEncoder(&body).Encode(errorResponse{"encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body.Bytes())
 }

@@ -268,4 +268,7 @@ func (s *Server) rollbackLocked(undo batchUndo, events []journal.Event) {
 	// itself failed — durability is already broken and the operator is
 	// told.
 	s.attachEngine()
+	// The applied events changed the engine's reward slice, which the
+	// current version's table may serve in place: retire that table.
+	s.version++
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -73,25 +74,41 @@ func TestWithIncrementalMatchesFullEvaluation(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalFallsBackForTDRM checks that mechanisms without a
-// local decomposition silently keep full evaluation.
-func TestWithIncrementalFallsBackForTDRM(t *testing.T) {
+// TestTDRMAlwaysServesExactEngine checks that TDRM gets its exact
+// engine whether or not WithIncremental is set, and that the served
+// reward is bitwise the full evaluation's.
+func TestTDRMAlwaysServesExactEngine(t *testing.T) {
 	m, err := tdrm.Default(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(m, WithIncremental())
-	if s.engine != nil {
-		t.Fatal("TDRM must not get an incremental engine")
-	}
-	if err := s.Join("ada", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Contribute("ada", 2); err != nil {
-		t.Fatal(err)
-	}
-	if p, err := s.participant("ada"); err != nil || p.Contribution != 2 {
-		t.Fatalf("participant = %+v, %v", p, err)
+	for _, opts := range [][]Option{nil, {WithIncremental()}} {
+		s := New(m, opts...)
+		if s.engine == nil {
+			t.Fatalf("%d options: TDRM has no engine", len(opts))
+		}
+		for _, step := range [][2]string{{"ada", ""}, {"bo", "ada"}} {
+			if err := s.Join(step[0], step[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Contribute("bo", 2.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Contribute("ada", 2); err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Rewards(s.state.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.participant("ada")
+		if err != nil || p.Contribution != 2 {
+			t.Fatalf("participant = %+v, %v", p, err)
+		}
+		if got, w := p.Reward, want.Of(s.state.ByName["ada"]); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("%d options: served reward %v, full evaluation %v", len(opts), got, w)
+		}
 	}
 }
 

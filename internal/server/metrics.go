@@ -18,9 +18,10 @@ import (
 //	itree_journal_last_seq     last persisted journal sequence number
 //
 // Gauges are computed at scrape time under the server's read lock; the
-// reward gauges read the current version's reward table, so a scrape
-// costs at most one O(n) mechanism evaluation per commit version, and
-// none when a batch or a read already built it. The table's reads are
+// reward gauges read the current version's reward table and its R(T),
+// so a scrape costs at most one O(n) table build (none under TDRM's
+// exact engine) and one O(n) sum per commit version, and neither when a
+// read already paid them. The table's reads are
 // counted on itree_rewards_cache_hits_total and
 // itree_rewards_cache_misses_total (scrapes are not). labels
 // (key/value pairs, e.g. "campaign", id) are stamped on every domain
@@ -97,7 +98,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 			if err != nil {
 				return 0
 			}
-			return t.total
+			return t.total()
 		}, labels...)
 	reg.GaugeFunc("itree_budget_utilization",
 		"Budget utilization R(T)/(Phi*C(T)); the paper's budget constraint holds iff <= 1.", func() float64 {
@@ -108,7 +109,7 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 			if err != nil || !(budget > 0) {
 				return 0
 			}
-			return t.total / budget
+			return t.total() / budget
 		}, labels...)
 	reg.GaugeFunc("itree_journal_last_seq",
 		"Sequence number of the last journal event applied.", func() float64 {
@@ -144,6 +145,6 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.tableHits = reg.Counter("itree_rewards_cache_hits_total",
 		"Reward reads served by the commit version's existing reward table.", labels...)
 	s.tableMisses = reg.Counter("itree_rewards_cache_misses_total",
-		"Reward reads that built the commit version's reward table (one mechanism evaluation each).", labels...)
+		"Reward reads that built the commit version's reward table (a full mechanism evaluation each, except under an exact engine with nothing quarantined).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
 }

@@ -9,28 +9,49 @@ import (
 	"sync/atomic"
 
 	"incentivetree/internal/core"
+	"incentivetree/internal/incremental"
 	"incentivetree/internal/tree"
 )
 
-// rewardTable is the served reward state of one commit version: one
-// mechanism (or engine) evaluation that the batch producing the version,
-// every read at it, the gauges and settlement all share. The commit
-// version — bumped per applied batch, quarantine flag, restore and
-// replicated batch — is its only invalidation. A table never changes
-// once built, except for its name-sorted view, built on first use.
+// rewardTable is the served reward state of one commit version, which
+// the batch producing the version, every read at it, the gauges and
+// settlement all share. The commit version — bumped per applied batch,
+// rollback, quarantine flag, restore and replicated batch — is its
+// only invalidation. A table never changes once built, except for R(T)
+// and its name-sorted view, both computed on first use.
 type rewardTable struct {
 	version uint64
-	// rewards is the table as served: quarantined subtrees zeroed.
+	// rewards is the table as served: quarantined subtrees zeroed. With
+	// an exact engine and nothing quarantined it is the engine's own
+	// slice, which the next write changes in place — after the version
+	// has moved past this table.
 	rewards core.Rewards
 	// mask flags, per node id, a withheld payout; nil when nothing is
 	// quarantined.
 	mask []bool
-	// total is R(T) before masking: budget accounting is about what the
-	// mechanism allocates, not what payout withholds.
-	total float64
+
+	totalOnce sync.Once
+	totalR    float64 // see total
 
 	byNameOnce sync.Once
 	byName     []Participant // GET /v1/rewards
+}
+
+// total returns R(T) before masking, summed in id order on first use:
+// budget accounting is about what the mechanism allocates, not what
+// payout withholds. A masked table computes it before masking.
+func (t *rewardTable) total() float64 {
+	t.totalOnce.Do(func() { t.totalR = t.rewards.Total() })
+	return t.totalR
+}
+
+// servedTotal returns the sum of the served rewards: R(T), less any
+// withheld payouts.
+func (t *rewardTable) servedTotal() float64 {
+	if t.mask == nil {
+		return t.total()
+	}
+	return t.rewards.Total()
 }
 
 // tableSlot holds the newest reward table. Readers sharing the server's
@@ -82,21 +103,33 @@ func (s *Server) readTableLocked() (*rewardTable, error) {
 	return t, err
 }
 
-// buildTableLocked evaluates the current state once — through the
-// incremental engine when one is attached — and masks the result in
-// place (both evaluations return a fresh slice).
+// buildTableLocked builds the current version's table. An exact
+// engine's slice is served in place, costing nothing, unless a mask
+// must be applied; otherwise the engine's copy or a full evaluation —
+// both fresh slices — is masked in place.
 func (s *Server) buildTableLocked() (*rewardTable, error) {
-	var rewards core.Rewards
-	if s.engine != nil {
-		rewards = s.engine.Rewards()
-	} else {
-		var err error
-		if rewards, err = s.mech.Rewards(s.state.Tree); err != nil {
+	t := &rewardTable{version: s.version}
+	exact, isExact := s.engine.(incremental.ExactEngine)
+	switch {
+	case isExact && len(s.state.Quarantined) == 0:
+		// Readers see a table only under s.mu at its own version, and
+		// every write bumps the version before it releases the lock, so
+		// no reader sees the slice change.
+		t.rewards = exact.Live()
+		return t, nil
+	case s.engine != nil:
+		t.rewards = s.engine.Rewards()
+	default:
+		rewards, err := s.mech.Rewards(s.state.Tree)
+		if err != nil {
 			return nil, err
 		}
+		t.rewards = rewards
 	}
-	t := &rewardTable{version: s.version, rewards: rewards, total: rewards.Total()}
-	t.mask = s.maskLocked(rewards)
+	if len(s.state.Quarantined) > 0 {
+		t.total() // before masking
+		t.mask = s.maskLocked(t.rewards)
+	}
 	return t, nil
 }
 
@@ -200,7 +233,7 @@ func (s *Server) handleRewards(w http.ResponseWriter, _ *http.Request) {
 	resp := rewardsResponse{
 		Mechanism:   s.mech.Name(),
 		Total:       s.state.Tree.Total(),
-		TotalReward: t.rewards.Total(),
+		TotalReward: t.servedTotal(),
 		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
 	}
 	resp.Participants = t.participants(s.state.Tree)

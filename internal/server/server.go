@@ -30,11 +30,15 @@
 // acquisition, journal sync, and reward recompute per batch; full
 // queues shed with 429).
 //
-// Rewards are evaluated at most once per commit version, into one
-// reward table (readpath.go) that the batch producing the version,
-// participant reads, /v1/rewards, /v1/leaderboard, /v1/stats and the
-// metrics gauges all share: one O(n) evaluation per version, and O(1)
-// per participant read after it.
+// Rewards are served from one reward table per commit version
+// (readpath.go) that the batch producing the version, participant
+// reads, /v1/rewards, /v1/leaderboard, /v1/stats and the metrics gauges
+// all share, O(1) per participant read. Under TDRM the table is the
+// exact engine's reward slice (internal/incremental): each write
+// refolds only its participant's root path, so a version costs
+// O(path), and O(n) only on a rebuild (open, restore, rollback) or
+// while a quarantine mask is applied. Other mechanisms pay one O(n)
+// evaluation per version.
 package server
 
 import (
@@ -92,7 +96,7 @@ type Server struct {
 	// unlike LastSeq, never moves backwards in-process.
 	version uint64
 	// engine, when non-nil, observes state's tree and maintains rewards
-	// in O(depth) per write; applyEventLocked notifies it.
+	// along each write's root path; applyEventLocked notifies it.
 	engine incremental.Engine
 }
 
@@ -116,25 +120,27 @@ func New(m core.Mechanism, opts ...Option) *Server {
 	return s
 }
 
-// WithIncremental serves rewards from an incrementally-maintained
-// engine (internal/incremental) when the mechanism admits one
-// (Geometric, CDRM family): writes cost O(depth) and a version's reward
-// table is a copy of the engine's instead of an O(n) mechanism
-// evaluation. Mechanisms without a local decomposition (TDRM,
-// L-Pachira) silently keep one full evaluation per version.
-// Engine-served rewards equal full evaluation up to floating-point
-// summation order; deployments that need bit-identical reward tables
-// across snapshot recovery should leave this off. Settlement grants
-// from a full evaluation either way.
+// WithIncremental serves Geometric and CDRM-family rewards from an
+// incrementally-maintained engine (internal/incremental): writes cost
+// O(depth) and a version's reward table is a copy of the engine's
+// instead of an O(n) mechanism evaluation. These engines accumulate
+// deltas, so their rewards equal full evaluation only up to
+// floating-point summation order; deployments that need bit-identical
+// reward tables across snapshot recovery should leave this off.
+// Settlement grants from a full evaluation either way. TDRM always
+// gets its exact engine, with or without this option; mechanisms
+// without a local decomposition (L-Pachira) silently keep one full
+// evaluation per version.
 func WithIncremental() Option {
 	return func(s *Server) { s.useEngine = true }
 }
 
-// attachEngine rebuilds the incremental engine, when one is configured
-// and the mechanism admits one, over the current tree in O(n). Callers
+// attachEngine rebuilds the reward engine over the current tree in
+// O(n): always when the mechanism has an exact one (TDRM), and when
+// WithIncremental asked for one that the mechanism admits. Callers
 // hold the write lock or own s exclusively.
 func (s *Server) attachEngine() {
-	if s.useEngine {
+	if s.useEngine || incremental.Exact(s.mech) {
 		s.engine, _ = incremental.ForTree(s.mech, s.state.Tree)
 	}
 }
@@ -341,7 +347,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Mechanism:   s.mech.Name(),
 		Params:      s.mech.Params(),
 		Tree:        s.state.Tree.ComputeStats(),
-		TotalReward: t.total,
+		TotalReward: t.total(),
 		Budget:      s.mech.Params().Phi * s.state.Tree.Total(),
 		LastSeq:     s.state.LastSeq,
 		Quarantined: len(s.state.Quarantined),

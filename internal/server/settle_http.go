@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"incentivetree/internal/core"
+	"incentivetree/internal/incremental"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/settle"
@@ -193,12 +194,13 @@ func (s *Server) Settle() (EpochSummary, error) {
 }
 
 // canonicalRewardsLocked is the served table as a full evaluation
-// computes it. An incremental engine's delta-accumulated table differs
-// by ulps from one rebuilt after a restart, and settled grants must not
-// depend on crash history, so with an engine attached this pays one
-// O(n) mechanism evaluation per settle.
+// computes it. A delta-accumulating engine's table differs by ulps from
+// one rebuilt after a restart, and settled grants must not depend on
+// crash history, so with such an engine attached this pays one O(n)
+// mechanism evaluation per settle. An exact engine's table is already
+// the full evaluation's.
 func (s *Server) canonicalRewardsLocked() (core.Rewards, error) {
-	if s.engine == nil {
+	if _, exact := s.engine.(incremental.ExactEngine); s.engine == nil || exact {
 		t, _, err := s.tableLocked()
 		if err != nil {
 			return nil, err

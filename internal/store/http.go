@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -204,8 +205,20 @@ func (st *Store) handleLegacy(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON answers with v as JSON. v is encoded before the header
+// goes out, so a value JSON cannot hold — a +Inf total after an
+// overflowing contribution — answers 500 with a JSON error instead of
+// a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		// An errorResponse always encodes.
+		_ = json.NewEncoder(&body).Encode(errorResponse{"encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body.Bytes())
 }

@@ -67,7 +67,7 @@ func chainShape(c, mu float64) (n, head float64) {
 	if c > 0 {
 		n = math.Ceil(c / mu)
 	}
-	head = c - (n-1)*mu
+	head = c - float64((n-1)*mu)
 	if n > 1<<53 {
 		head = math.Max(0, math.Min(head, mu))
 	}

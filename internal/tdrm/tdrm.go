@@ -15,7 +15,9 @@ type Mechanism struct {
 	mu     float64     // contribution cap simulated by the RCT
 	a      float64     // geometric decay
 	b      float64     // bubble fraction, a + b < 1
-	pow    [64]float64 // pow[k] = a^k, for RewardsInto
+	scale  float64     // lambda*b/mu, the quadratic term's weight
+	inv    float64     // 1/(1-a)
+	pow    [64]float64 // pow[k] = a^k, for Node
 }
 
 // New validates the Theorem 4 parameter regime: 0 < lambda < Phi - phi,
@@ -39,7 +41,8 @@ func New(p core.Params, lambda, mu, a, b float64) (*Mechanism, error) {
 		return nil, fmt.Errorf("%w: b = %v, need b > 0 and a+b < 1 (a = %v)",
 			core.ErrBadParams, b, a)
 	}
-	m := &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b}
+	m := &Mechanism{params: p, lambda: lambda, mu: mu, a: a, b: b,
+		scale: lambda * b / mu, inv: 1 / (1 - a)}
 	m.pow[0] = 1
 	for k := 1; k < len(m.pow); k++ {
 		m.pow[k] = m.pow[k-1] * a
@@ -108,41 +111,56 @@ func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 
 // RewardsInto implements core.IntoMechanism. It computes what Transform
 // + NodeRewards + the per-chain fold compute, without building the RCT:
-// a participant u with chain length N = N_u, head contribution h and
-//
-//	X_u = sum over u's children v of S(head_v)
-//
-// has S(head_u) = h + mu*G + a^N*X_u and R(u) = scale*(h*S(head_u) +
-// mu*sum_{k=2..N} S(m_k)) + phi*C(u), where G = sum_{i=1..N-1} a^i and
-// the mu-nodes' sums form geometric series in a^(N-1) too. So an
+// one Node fold per participant, children before parents, so an
 // evaluation is O(n) whatever the contributions are, where the RCT has
 // sum(N_u) nodes. Results equal the RCT evaluation up to floating-point
 // summation order.
+//
+// X_u accumulates u's children in descending id order. An engine that
+// recomputes one node's X in that same order (internal/incremental)
+// reproduces this evaluation bit for bit.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	contribs, parents := t.Contributions(), t.Parents()
 	out := core.ResizeRewards(buf, len(parents))
-	a, mu := m.a, m.mu
-	scale := m.lambda * m.b / mu
-	inv := 1 / (1 - a)
 	// Referral-tree ids are topological, so a reverse scan finishes every
 	// child before its parent: out[u] holds X_u when u is reached, and is
 	// then overwritten with R(u).
 	for id := len(parents) - 1; id >= 1; id-- {
-		c := contribs[id]
-		n, h := chainShape(c, mu)
-		x := out[id]
-		pn := m.powA(n - 1)
-		g := a * (1 - pn) * inv
-		head := h + mu*g + a*pn*x
-		tail := mu*(n-1-g)*inv + g*x // sum of S over the N-1 mu-nodes
-		out[id] = scale*(h*head+mu*tail) + m.params.FairShare*c
+		head, r := m.Node(contribs[id], out[id])
+		out[id] = r
 		out[parents[id]] += head
 	}
 	out[tree.Root] = 0
 	return out, nil
+}
+
+// Node folds one participant's ε-chain in closed form. A participant
+// with contribution c, chain length N = N_u, head contribution h and
+//
+//	x = X_u = sum over u's children v of S(head_v)
+//
+// has head = S(head_u) = h + mu*G + a^N*x and r = R(u) =
+// scale*(h*S(head_u) + mu*sum_{k=2..N} S(m_k)) + phi*c, where G =
+// sum_{i=1..N-1} a^i and the mu-nodes' sums form geometric series in
+// a^(N-1) too. So R(u) = alpha(c) + beta(c)*x, and a change below u
+// reaches R(u) only through x.
+//
+// Every product is rounded by an explicit conversion before it is
+// added, so the compiler cannot fuse a multiply-add on one call path
+// and not another: RewardsInto and the incremental engine get the same
+// bits from the same (c, x).
+func (m *Mechanism) Node(c, x float64) (head, r float64) {
+	a, mu := m.a, m.mu
+	n, h := chainShape(c, mu)
+	pn := m.powA(n - 1)
+	g := float64(a*(1-pn)) * m.inv
+	head = h + float64(mu*g) + float64(float64(a*pn)*x)
+	tail := float64(float64(mu*(n-1-g))*m.inv) + float64(g*x) // sum of S over the N-1 mu-nodes
+	r = float64(m.scale*(float64(h*head)+float64(mu*tail))) + float64(m.params.FairShare*c)
+	return head, r
 }
 
 // powA returns a^k for a whole k >= 0. Short chains, nearly every
