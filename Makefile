@@ -65,8 +65,9 @@ benchsmoke:
 # and a live server must hold exactly the state its journal replays
 # to (FuzzLiveMatchesReplay), TDRM's closed-form chain fold must
 # match the explicit RCT evaluation (FuzzTDRMClosedForm), and the exact
-# TDRM engine must serve a full evaluation's bits after every write
-# (FuzzTDRMEngineExact). Corpus finds are kept under
+# reward engine must serve a full evaluation's bits after every batch,
+# for TDRM (FuzzTDRMEngineExact) and for Geometric and CDRM
+# (FuzzFoldEngineExact). Corpus finds are kept under
 # testdata/fuzz/ by go test; commit any that reproduce bugs.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRecordDecode -fuzztime=$(FUZZTIME) ./internal/journal/
@@ -77,6 +78,7 @@ fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLiveMatchesReplay -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzTDRMClosedForm -fuzztime=$(FUZZTIME) ./internal/tdrm/
 	$(GO) test -run=^$$ -fuzz=FuzzTDRMEngineExact -fuzztime=$(FUZZTIME) ./internal/incremental/
+	$(GO) test -run=^$$ -fuzz=FuzzFoldEngineExact -fuzztime=$(FUZZTIME) ./internal/incremental/
 
 # loadsmoke boots a real itreed on a temp data dir, runs a short
 # itreeload burst through the batched ingest pipeline, and verifies

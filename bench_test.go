@@ -236,11 +236,11 @@ func BenchmarkGrowthSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalVsFull contrasts O(depth) incremental reward
-// maintenance with O(n) full re-evaluation on a growing campaign — the
-// ablation for the live-service write path. Both sides grow the tree
-// with tree.Add; incremental then notifies an observing engine, full
-// re-evaluates the mechanism after every write.
+// BenchmarkIncrementalVsFull contrasts root-path reward maintenance
+// with O(n) full re-evaluation on a growing campaign — the ablation for
+// the live-service write path. Both sides grow the tree with tree.Add;
+// incremental then updates an observing engine with the joined node,
+// full re-evaluates the mechanism after every write.
 func BenchmarkIncrementalVsFull(b *testing.B) {
 	p := core.DefaultParams()
 	geo, err := geometric.Default(p)
@@ -267,10 +267,10 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t := tree.New()
-			e := incremental.NewGeometricFromTree(geo, t)
+			e, _ := incremental.ForTree(geo, t)
 			workload(b, t, func(joined, u tree.NodeID) error {
-				e.Joined(joined)
-				_ = e.Reward(u)
+				e.Update([]tree.NodeID{joined})
+				_ = e.Rewards().Of(u)
 				return nil
 			})
 		}

@@ -648,9 +648,10 @@ func TestFollowerDaemonReplicatesPrimary(t *testing.T) {
 	}
 }
 
-// TestIncrementalCampaignUsesEngine: a campaign created with
-// "incremental": true gets its engine even though itreed wraps every
-// mechanism in experiments.Instrumented.
+// TestIncrementalCampaignUsesEngine: a CDRM campaign gets its reward
+// engine, with no option asked for, even though itreed wraps every
+// mechanism in experiments.Instrumented; each committed write is one
+// engine update.
 func TestIncrementalCampaignUsesEngine(t *testing.T) {
 	var out bytes.Buffer
 	d, err := setup([]string{"-data-dir", t.TempDir()}, &out)
@@ -658,16 +659,12 @@ func TestIncrementalCampaignUsesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.cleanup()
-	ops := func() uint64 {
-		var n uint64
-		for _, op := range []string{"join", "contribute"} {
-			n += obs.Default().Counter("itree_incremental_ops_total", "", "engine", "cdrm", "op", op).Value()
-		}
-		return n
-	}
-	before := ops()
+	updates := obs.Default().Counter("itree_incremental_ops_total", "", "engine", "cdrm")
+	before := updates.Value()
 	for _, req := range []struct{ path, body string }{
-		{"/v1/campaigns", `{"id":"zeta","mechanism":"cdrm-reciprocal","incremental":true}`},
+		{"/v1/campaigns", `{"id":"zeta","mechanism":"cdrm-reciprocal"}`},
+		// The retired "incremental" field is ignored, not refused.
+		{"/v1/campaigns", `{"id":"eta","mechanism":"geometric","incremental":true}`},
 		{"/v1/campaigns/zeta/join", `{"name":"ada"}`},
 		{"/v1/campaigns/zeta/join", `{"name":"bo","sponsor":"ada"}`},
 		{"/v1/campaigns/zeta/contribute", `{"name":"bo","amount":2}`},
@@ -678,7 +675,7 @@ func TestIncrementalCampaignUsesEngine(t *testing.T) {
 			t.Fatalf("POST %s = %d: %s", req.path, rec.Code, rec.Body)
 		}
 	}
-	if got := ops() - before; got != 3 {
-		t.Fatalf("incremental engine ops = %d, want 3 (2 joins + 1 contribute)", got)
+	if got := updates.Value() - before; got != 3 {
+		t.Fatalf("engine updates = %d, want 3 (2 joins + 1 contribute)", got)
 	}
 }

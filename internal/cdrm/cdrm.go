@@ -177,27 +177,37 @@ func (m *Mechanism) Params() core.Params { return m.params }
 // Func returns the underlying reward function.
 func (m *Mechanism) Func() Function { return m.fn }
 
-// Rewards implements core.Mechanism in O(n) using one bottom-up pass for
-// the subtree sums.
+// Rewards implements core.Mechanism in O(n) (see RewardsInto).
 func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// RewardsInto implements core.IntoMechanism with zero allocations: buf
-// first holds the subtree sums, then is rewritten in place in id order
-// (entry u only reads sums[u], which is still intact when u is reached).
+// RewardsInto implements core.IntoMechanism with zero allocations: one
+// Node fold per participant, children before parents. Referral-tree
+// ids are topological, so a reverse scan finishes every child first:
+// buf[u] holds y_u, accumulated over u's children in descending id,
+// when u is reached, and is then overwritten with R(u). An engine that
+// refolds one node's y in that same order (internal/incremental)
+// reproduces this evaluation bit for bit.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	sums := t.SubtreeSumsInto([]float64(buf))
-	r := core.Rewards(sums)
-	for id := 1; id < t.Len(); id++ {
-		u := tree.NodeID(id)
-		x := t.Contribution(u)
-		y := sums[u] - x
-		r[u] = m.fn.Eval(x, y)
+	contribs, parents := t.Contributions(), t.Parents()
+	out := core.ResizeRewards(buf, len(parents))
+	for id := len(parents) - 1; id >= 1; id-- {
+		up, r := m.Node(contribs[id], out[id])
+		out[id] = r
+		out[parents[id]] += up
 	}
-	r[tree.Root] = 0
-	return r, nil
+	out[tree.Root] = 0
+	return out, nil
+}
+
+// Node folds one participant with contribution c = x_u whose children
+// pass up y = y_u = sum over children v of C(v) + y_v, the proper
+// descendants' total: u passes up = c + y to its parent, and r = R(u)
+// = f(c, y).
+func (m *Mechanism) Node(c, y float64) (up, r float64) {
+	return c + y, m.fn.Eval(c, y)
 }

@@ -28,8 +28,9 @@ const sampleEvery = 8
 // The serving daemon wraps its configured mechanism with this before
 // building the server, which makes the per-mechanism compute shape
 // (root-path incremental candidates vs. full-tree L-Pachira
-// evaluation) visible on /metrics. A TDRM server evaluates only through
-// its exact engine's writes, which itree_incremental_op_seconds times.
+// evaluation) visible on /metrics. A TDRM, Geometric or CDRM server
+// evaluates only through its exact engine's updates, which
+// itree_incremental_op_seconds times.
 func Instrumented(m core.Mechanism, reg *obs.Registry) core.Mechanism {
 	return &timedMechanism{
 		inner: m,
@@ -54,7 +55,8 @@ func (t *timedMechanism) Name() string        { return t.inner.Name() }
 func (t *timedMechanism) Params() core.Params { return t.inner.Params() }
 
 // Unwrap returns the wrapped mechanism, so incremental.ForTree can
-// still attach an engine to an instrumented Geometric or CDRM campaign.
+// still attach an engine to an instrumented TDRM, Geometric or CDRM
+// campaign.
 func (t *timedMechanism) Unwrap() core.Mechanism { return t.inner }
 
 func (t *timedMechanism) Rewards(tr *tree.Tree) (core.Rewards, error) {

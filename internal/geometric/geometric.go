@@ -66,30 +66,39 @@ func (m *Mechanism) A() float64 { return m.a }
 // B returns the bubble-up fraction.
 func (m *Mechanism) B() float64 { return m.b }
 
-// Rewards implements core.Mechanism in O(n): the weighted subtree sum
-// S(u) = C(u) + a * sum_{child k} S(k) satisfies R(u) = b * S(u), and ids
-// are topological so a single reverse scan computes all S bottom-up.
+// Rewards implements core.Mechanism in O(n) (see RewardsInto).
 func (m *Mechanism) Rewards(t *tree.Tree) (core.Rewards, error) {
 	return m.RewardsInto(t, nil)
 }
 
-// RewardsInto implements core.IntoMechanism with zero allocations: the
-// weighted subtree sums are accumulated directly in buf, then scaled by b
-// in place (each entry depends only on itself once its subtree is
-// folded).
+// RewardsInto implements core.IntoMechanism with zero allocations: one
+// Node fold per participant, children before parents. Referral-tree
+// ids are topological, so a reverse scan finishes every child first:
+// buf[u] holds X_u, the sum of a*S(v) over u's children accumulated in
+// descending id, when u is reached, and is then overwritten with R(u).
+// An engine that refolds one node's X in that same order
+// (internal/incremental) reproduces this evaluation bit for bit.
 func (m *Mechanism) RewardsInto(t *tree.Tree, buf core.Rewards) (core.Rewards, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	s := core.ResizeRewards(buf, t.Len())
-	for id := t.Len() - 1; id >= 1; id-- {
-		u := tree.NodeID(id)
-		s[u] += t.Contribution(u)
-		s[t.Parent(u)] += m.a * s[u]
+	contribs, parents := t.Contributions(), t.Parents()
+	out := core.ResizeRewards(buf, len(parents))
+	for id := len(parents) - 1; id >= 1; id-- {
+		up, r := m.Node(contribs[id], out[id])
+		out[id] = r
+		out[parents[id]] += up
 	}
-	for id := 1; id < t.Len(); id++ {
-		s[id] = m.b * s[id]
-	}
-	s[tree.Root] = 0
-	return s, nil
+	out[tree.Root] = 0
+	return out, nil
+}
+
+// Node folds one participant with contribution c whose children pass
+// up x = sum over children v of a*S(v): the weighted subtree sum is
+// S(u) = c + x, u passes up = a*S(u) to its parent, and r = R(u) =
+// b*S(u). Products are rounded by an explicit conversion, so no call
+// path can fuse them into a multiply-add.
+func (m *Mechanism) Node(c, x float64) (up, r float64) {
+	s := x + c
+	return float64(m.a * s), float64(m.b * s)
 }

@@ -6,39 +6,40 @@ import (
 
 	"incentivetree/internal/cdrm"
 	"incentivetree/internal/core"
+	"incentivetree/internal/emek"
+	"incentivetree/internal/experiments"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/tdrm"
+	"incentivetree/internal/obs"
 	"incentivetree/internal/tree"
 )
 
+// TestForTreeSelectsEngine: the tree-fold mechanisms get an engine
+// over their own fold, also behind the daemon's instrumentation
+// wrapper; the lottery and Emek mechanisms get none.
 func TestForTreeSelectsEngine(t *testing.T) {
 	p := core.DefaultParams()
-	gm, err := geometric.Default(p)
+	folds := map[string]bool{"tdrm": true, "geometric": true, "cdrm-reciprocal": true, "cdrm-log": true}
+	emk, err := emek.Default(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := ForTree(gm, tree.New()); !ok {
-		t.Error("geometric should get an engine")
-	} else if _, isGeo := e.(*GeometricEngine); !isGeo {
-		t.Errorf("geometric engine type = %T", e)
+	for _, name := range experiments.MechanismNames() {
+		m, err := experiments.ByName(p, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wrapped := range []core.Mechanism{m, experiments.Instrumented(m, obs.NewRegistry())} {
+			e, ok := ForTree(wrapped, tree.New())
+			if ok != folds[name] {
+				t.Fatalf("%s (%T): engine = %v, want %v", name, wrapped, ok, folds[name])
+			}
+			if ok && e.f.(core.Mechanism) != m {
+				t.Fatalf("%s: engine folds %T, want the mechanism itself", name, e.f)
+			}
+		}
 	}
-	cm, err := cdrm.DefaultReciprocal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := ForTree(cm, tree.New()); !ok {
-		t.Error("cdrm should get an engine")
-	} else if _, isCDRM := e.(*CDRMEngine); !isCDRM {
-		t.Errorf("cdrm engine type = %T", e)
-	}
-	tm, err := tdrm.Default(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := ForTree(tm, tree.New()); !ok {
-		t.Error("tdrm should get an engine")
-	} else if _, isTDRM := e.(*TDRMEngine); !isTDRM {
-		t.Errorf("tdrm engine type = %T", e)
+	if _, ok := ForTree(emk, tree.New()); ok {
+		t.Fatal("emek got an engine")
 	}
 }
 
@@ -68,21 +69,16 @@ func TestForTreeMatchesFullEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mech := range []core.Mechanism{gm, cm} {
-		tr := randomTree(t, 7, 200)
-		e, ok := ForTree(mech, tr)
-		if !ok {
-			t.Fatalf("%s: no engine", mech.Name())
-		}
-		o := observed{t, e, tr}
+	for _, mech := range []core.IntoMechanism{gm, cm} {
+		o := observe(t, mech, randomTree(t, 7, 200))
 		o.matchesFull(mech.Name() + " after rebuild")
 		// The rebuilt state must absorb new writes, not just reads.
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 50; i++ {
 			if rng.Float64() < 0.5 {
-				o.join(tree.NodeID(rng.Intn(tr.Len())), rng.Float64())
+				o.join(tree.NodeID(rng.Intn(o.Len())), rng.Float64())
 			} else {
-				o.contribute(tree.NodeID(1+rng.Intn(tr.NumParticipants())), rng.Float64())
+				o.contribute(tree.NodeID(1+rng.Intn(o.NumParticipants())), rng.Float64())
 			}
 		}
 		o.matchesFull(mech.Name() + " after further writes")
@@ -94,17 +90,12 @@ func TestForTreeEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tree.New()
-	e, ok := ForTree(gm, tr)
-	if !ok {
-		t.Fatal("no engine for empty tree")
-	}
+	o := observe(t, gm, tree.New())
 	// Rewards are indexed by NodeID, so even an empty tree has the root
 	// slot (always zero).
-	if r := e.Rewards(); len(r) != 1 || r[0] != 0 {
+	if r := o.e.Rewards(); len(r) != 1 || r[0] != 0 {
 		t.Fatalf("empty tree rewards = %v", r)
 	}
-	o := observed{t, e, tr}
 	o.join(tree.Root, 1)
 	o.matchesFull("after first join")
 }

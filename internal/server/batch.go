@@ -141,7 +141,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 			e.Seq = s.state.LastSeq + 1
 			// A join's name is not indexed yet, so it reads the root's 0.
 			prior = s.state.Tree.Contribution(s.state.ByName[e.Name])
-			err = s.applyEventLocked(e)
+			err = s.state.Apply(e)
 		}
 		if err != nil {
 			errs[i] = err
@@ -166,6 +166,7 @@ func (s *Server) applyLocked(ops []ingest.Op) []error {
 		}
 		s.state.LastSeq = persisted[len(persisted)-1].Seq
 	}
+	s.refoldLocked(s.touched(events))
 	s.version++
 	if s.commitHook != nil {
 		touched := make([]string, len(events))
@@ -189,28 +190,24 @@ func opEvent(op ingest.Op) (journal.Event, error) {
 	return journal.Event{}, fmt.Errorf("server: unknown op kind %d", op.Kind)
 }
 
-// applyEventLocked applies one event to the campaign state and then
-// tells the incremental engine, if any, what changed. Batches, journal-
-// first writes (commitLocked) and replicated events all use it.
-func (s *Server) applyEventLocked(e journal.Event) error {
-	if err := s.state.Apply(e); err != nil {
-		return err
-	}
-	if s.engine != nil {
-		switch e.Kind {
-		case journal.KindJoin:
-			s.engine.Joined(s.state.ByName[e.Name])
-		case journal.KindContribute:
-			s.engine.Contributed(s.state.ByName[e.Name], e.Amount)
+// touched returns the tree nodes events joined or contributed to, the
+// nodes whose root paths the engine must refold.
+func (s *Server) touched(events []journal.Event) []tree.NodeID {
+	ids := make([]tree.NodeID, 0, len(events))
+	for _, e := range events {
+		if e.Kind == journal.KindJoin || e.Kind == journal.KindContribute {
+			ids = append(ids, s.state.ByName[e.Name])
 		}
 	}
-	return nil
+	return ids
 }
 
 // commitLocked commits one event journal-first: Check, append, then
 // apply. Nothing changes until the record is durable, so a failed
 // append leaves memory and log in agreement. It returns the persisted
-// event.
+// event. It serves the events that leave the tree as it is
+// (quarantine flags, settles, claims), so the engine has nothing to
+// refold.
 func (s *Server) commitLocked(e journal.Event) (journal.Event, error) {
 	if err := s.state.Check(e); err != nil {
 		return journal.Event{}, err
@@ -224,7 +221,7 @@ func (s *Server) commitLocked(e journal.Event) (journal.Event, error) {
 	} else {
 		e.Seq = s.state.LastSeq + 1
 	}
-	if err := s.applyEventLocked(e); err != nil {
+	if err := s.state.Apply(e); err != nil {
 		// Check passed under the same lock, so a refusal here is a bug,
 		// surfaced loudly rather than leaving the durable record
 		// unapplied.
@@ -247,9 +244,9 @@ type batchUndo struct {
 // rollbackLocked undoes the applied-but-unjournaled events of a batch,
 // newest first: restore contribution values (so repeated contributions
 // to one participant land back on the first-recorded value), drop the
-// name index entries of batch joins, truncate their tree nodes, and
-// rebuild the incremental engine whose derived sums in-place undo
-// cannot reach.
+// name index entries of batch joins, and truncate their tree nodes.
+// The engine is refolded only after a successful append, so it never
+// saw these events.
 func (s *Server) rollbackLocked(undo batchUndo, events []journal.Event) {
 	for i := len(events) - 1; i >= 0; i-- {
 		switch e := events[i]; e.Kind {
@@ -264,11 +261,4 @@ func (s *Server) rollbackLocked(undo batchUndo, events []journal.Event) {
 	// valid by construction.
 	_ = s.state.Tree.ResetTo(undo.mark)
 	s.state.LastSeq = undo.lastSeq
-	// O(n) engine rebuild, but this path only runs when the journal
-	// itself failed — durability is already broken and the operator is
-	// told.
-	s.attachEngine()
-	// The applied events changed the engine's reward slice, which the
-	// current version's table may serve in place: retire that table.
-	s.version++
 }

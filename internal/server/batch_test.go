@@ -16,10 +16,13 @@ import (
 	"time"
 
 	"incentivetree/internal/core"
+	"incentivetree/internal/experiments"
 	"incentivetree/internal/geometric"
+	"incentivetree/internal/incremental"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
+	"incentivetree/internal/tree"
 )
 
 // failWriter passes writes through until fail is set.
@@ -74,25 +77,37 @@ func TestContributeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// engineArm returns the mechanism of one arm of a test that runs with
+// and without a reward engine: Geometric, which has one
+// (incremental=true), or L-Luxor, which is evaluated in full at every
+// version (incremental=false).
+func engineArm(t *testing.T, engine bool) core.Mechanism {
+	t.Helper()
+	name := "l-luxor"
+	if engine {
+		name = "geometric"
+	}
+	m, err := experiments.ByName(core.DefaultParams(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := incremental.ForTree(m, tree.New()); ok != engine {
+		t.Fatalf("%s: engine = %v, want %v", name, ok, engine)
+	}
+	return m
+}
+
 // TestRollbackOnJournalFailure injects a journal write failure and
 // checks every in-memory mutation of the failed batch is undone, so
 // memory never diverges from what a restart would replay. Runs with
-// and without the incremental engine (which needs a rebuild to roll
-// back its derived sums).
+// and without a reward engine, which is refolded only after a
+// successful append.
 func TestRollbackOnJournalFailure(t *testing.T) {
-	for _, useEngine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", useEngine), func(t *testing.T) {
-			m, err := geometric.Default(core.DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, engine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", engine), func(t *testing.T) {
 			var buf bytes.Buffer
 			fw := &failWriter{w: &buf}
-			opts := []Option{WithJournal(journal.NewWriter(fw, 1))}
-			if useEngine {
-				opts = append(opts, WithIncremental())
-			}
-			s := New(m, opts...)
+			s := New(engineArm(t, engine), WithJournal(journal.NewWriter(fw, 1)))
 			if err := s.Join("alice", ""); err != nil {
 				t.Fatal(err)
 			}

@@ -12,114 +12,107 @@ import (
 
 	"incentivetree/internal/core"
 	"incentivetree/internal/geometric"
-	"incentivetree/internal/numeric"
 	"incentivetree/internal/tdrm"
 )
 
-// TestWithIncrementalMatchesFullEvaluation drives a geometric server
-// with the incremental engine enabled and cross-checks every
-// participant's reward against a plain full-evaluation server fed the
-// same workload.
-func TestWithIncrementalMatchesFullEvaluation(t *testing.T) {
-	p := core.DefaultParams()
-	m1, err := geometric.Default(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := geometric.Default(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := New(m1, WithIncremental())
-	slow := New(m2)
-
-	rng := rand.New(rand.NewSource(3))
-	names := []string{}
-	for i := 0; i < 120; i++ {
-		if len(names) == 0 || rng.Float64() < 0.5 {
-			name := fmt.Sprintf("p%03d", len(names))
-			sponsor := ""
-			if len(names) > 0 {
-				sponsor = names[rng.Intn(len(names))]
-			}
-			for _, s := range []*Server{fast, slow} {
-				if err := s.Join(name, sponsor); err != nil {
-					t.Fatalf("join %s: %v", name, err)
-				}
-			}
-			names = append(names, name)
-		} else {
-			name := names[rng.Intn(len(names))]
-			amount := rng.Float64() * 3
-			for _, s := range []*Server{fast, slow} {
-				if err := s.Contribute(name, amount); err != nil {
-					t.Fatalf("contribute %s: %v", name, err)
-				}
-			}
-		}
-	}
-
-	for _, name := range names {
-		pf, err := fast.participant(name)
+// TestEngineServesFullEvaluation drives a server per tree-fold
+// mechanism, served by its reward engine, beside one that evaluates the
+// same mechanism in full (fullEval), and requires every participant's
+// served reward to have the full evaluation's bits.
+func TestEngineServesFullEvaluation(t *testing.T) {
+	for _, mc := range liveReplayMechanisms {
+		m, err := mc.new(core.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := slow.participant(name)
-		if err != nil {
-			t.Fatal(err)
+		fast, slow := New(m), New(fullEval{m})
+		if fast.engine == nil || slow.engine != nil {
+			t.Fatalf("%s: engines %v/%v, want one on the first server only", mc.name, fast.engine, slow.engine)
 		}
-		if !numeric.AlmostEqual(pf.Reward, ps.Reward, 1e-9) {
-			t.Fatalf("%s: incremental reward %v != full %v", name, pf.Reward, ps.Reward)
+		rng := rand.New(rand.NewSource(3))
+		names := []string{}
+		for i := 0; i < 120; i++ {
+			if len(names) == 0 || rng.Float64() < 0.5 {
+				name := fmt.Sprintf("p%03d", len(names))
+				sponsor := ""
+				if len(names) > 0 {
+					sponsor = names[rng.Intn(len(names))]
+				}
+				for _, s := range []*Server{fast, slow} {
+					if err := s.Join(name, sponsor); err != nil {
+						t.Fatalf("join %s: %v", name, err)
+					}
+				}
+				names = append(names, name)
+			} else {
+				name := names[rng.Intn(len(names))]
+				amount := rng.Float64() * 3
+				for _, s := range []*Server{fast, slow} {
+					if err := s.Contribute(name, amount); err != nil {
+						t.Fatalf("contribute %s: %v", name, err)
+					}
+				}
+			}
+		}
+		for _, name := range names {
+			pf, err := fast.participant(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := slow.participant(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(pf.Reward) != math.Float64bits(ps.Reward) {
+				t.Fatalf("%s: %s: engine reward %v != full %v", mc.name, name, pf.Reward, ps.Reward)
+			}
 		}
 	}
 }
 
 // TestTDRMAlwaysServesExactEngine checks that TDRM gets its exact
-// engine whether or not WithIncremental is set, and that the served
-// reward is bitwise the full evaluation's.
+// engine and that the served reward is bitwise the full evaluation's.
 func TestTDRMAlwaysServesExactEngine(t *testing.T) {
 	m, err := tdrm.Default(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{nil, {WithIncremental()}} {
-		s := New(m, opts...)
-		if s.engine == nil {
-			t.Fatalf("%d options: TDRM has no engine", len(opts))
-		}
-		for _, step := range [][2]string{{"ada", ""}, {"bo", "ada"}} {
-			if err := s.Join(step[0], step[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Contribute("bo", 2.5); err != nil {
+	s := New(m)
+	if s.engine == nil {
+		t.Fatal("TDRM has no engine")
+	}
+	for _, step := range [][2]string{{"ada", ""}, {"bo", "ada"}} {
+		if err := s.Join(step[0], step[1]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Contribute("ada", 2); err != nil {
-			t.Fatal(err)
-		}
-		want, err := m.Rewards(s.state.Tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := s.participant("ada")
-		if err != nil || p.Contribution != 2 {
-			t.Fatalf("participant = %+v, %v", p, err)
-		}
-		if got, w := p.Reward, want.Of(s.state.ByName["ada"]); math.Float64bits(got) != math.Float64bits(w) {
-			t.Fatalf("%d options: served reward %v, full evaluation %v", len(opts), got, w)
-		}
+	}
+	if err := s.Contribute("bo", 2.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Contribute("ada", 2); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Rewards(s.state.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.participant("ada")
+	if err != nil || p.Contribution != 2 {
+		t.Fatalf("participant = %+v, %v", p, err)
+	}
+	if got, w := p.Reward, want.Of(s.state.ByName["ada"]); math.Float64bits(got) != math.Float64bits(w) {
+		t.Fatalf("served reward %v, full evaluation %v", got, w)
 	}
 }
 
-// TestWithIncrementalSurvivesRestore checks the engine is rebuilt from
-// the restored tree, not left pointing at the old one.
-func TestWithIncrementalSurvivesRestore(t *testing.T) {
+// TestEngineSurvivesRestore checks the engine is rebuilt from the
+// restored tree, not left pointing at the old one.
+func TestEngineSurvivesRestore(t *testing.T) {
 	m, err := geometric.Default(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(m, WithIncremental())
+	s := New(m)
 	for _, step := range [][2]string{{"ada", ""}, {"bo", "ada"}, {"cy", "bo"}} {
 		if err := s.Join(step[0], step[1]); err != nil {
 			t.Fatal(err)
@@ -134,27 +127,18 @@ func TestWithIncrementalSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(m2, WithIncremental())
+	s2 := New(m2)
 	if err := s2.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
 	if s2.engine == nil {
 		t.Fatal("restore must rebuild the engine")
 	}
-	// Writes against the restored engine stay consistent with full eval.
+	// Writes against the restored engine stay bitwise the full evaluation.
 	if err := s2.Contribute("ada", 1); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s2.mech.Rewards(s2.state.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s2.engine.Rewards()
-	for id := range want {
-		if !numeric.AlmostEqual(got[id], want[id], 1e-9) {
-			t.Fatalf("node %d: engine %v != full %v", id, got[id], want[id])
-		}
-	}
+	requireServedExact(t, s2, m2, "after restore and a write")
 }
 
 // TestRewardsSortedByName pins the /v1/rewards participant order to the

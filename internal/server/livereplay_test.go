@@ -10,9 +10,9 @@ import (
 
 	"incentivetree/internal/cdrm"
 	"incentivetree/internal/core"
+	"incentivetree/internal/geometric"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
-	"incentivetree/internal/numeric"
 	"incentivetree/internal/tdrm"
 	"incentivetree/internal/treegen"
 )
@@ -21,7 +21,10 @@ import (
 // journaled server holds in memory after any mix of writes — batches,
 // direct writes, quarantine flags, settles, claims, rejected ops, and
 // a batch whose journal append fails — is exactly what recovering its
-// journal bytes rebuilds. The seed corpus runs under plain `go test`;
+// journal bytes rebuilds, down to the bits of every served reward. Each
+// mechanism runs served by its reward engine (incremental=true) and
+// hidden behind fullEval, so the server evaluates it in full
+// (incremental=false). The seed corpus runs under plain `go test`;
 // `go test -fuzz=FuzzLiveMatchesReplay` explores further seeds.
 func FuzzLiveMatchesReplay(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -46,7 +49,12 @@ type liveReplayMechanism struct {
 var liveReplayMechanisms = []liveReplayMechanism{
 	{"tdrm", func(p core.Params) (core.Mechanism, error) { return tdrm.Default(p) }},
 	{"cdrm-reciprocal", func(p core.Params) (core.Mechanism, error) { return cdrm.DefaultReciprocal(p) }},
+	{"geometric", func(p core.Params) (core.Mechanism, error) { return geometric.Default(p) }},
 }
+
+// fullEval hides a mechanism's concrete type, so the server finds no
+// reward engine for it and evaluates it in full at every version.
+type fullEval struct{ core.Mechanism }
 
 func checkLiveMatchesReplay(t *testing.T, mc liveReplayMechanism, incremental bool, seed int64) {
 	newServer := func(opts ...Option) *Server {
@@ -54,8 +62,8 @@ func checkLiveMatchesReplay(t *testing.T, mc liveReplayMechanism, incremental bo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if incremental {
-			opts = append(opts, WithIncremental())
+		if !incremental {
+			m = fullEval{m}
 		}
 		return New(m, opts...)
 	}
@@ -200,12 +208,7 @@ func checkLiveMatchesReplay(t *testing.T, mc liveReplayMechanism, incremental bo
 		t.Fatalf("recovered %d rewards, live %d", len(recRewards), len(liveRewards))
 	}
 	for id, want := range liveRewards {
-		got := recRewards[id]
-		same := math.Float64bits(got) == math.Float64bits(want)
-		if incremental && !same {
-			same = (math.IsNaN(got) && math.IsNaN(want)) || numeric.AlmostEqual(got, want, 1e-9)
-		}
-		if !same {
+		if got := recRewards[id]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("node %d: recovered reward %v, live %v", id, got, want)
 		}
 	}

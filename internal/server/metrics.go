@@ -19,8 +19,8 @@ import (
 //
 // Gauges are computed at scrape time under the server's read lock; the
 // reward gauges read the current version's reward table and its R(T),
-// so a scrape costs at most one O(n) table build (none under TDRM's
-// exact engine) and one O(n) sum per commit version, and neither when a
+// so a scrape costs at most one O(n) table build (none under the
+// TDRM, Geometric or CDRM engine) and one O(n) sum per commit version, and neither when a
 // read already paid them. The table's reads are
 // counted on itree_rewards_cache_hits_total and
 // itree_rewards_cache_misses_total (scrapes are not). labels
@@ -145,6 +145,6 @@ func (s *Server) registerGauges(reg *obs.Registry, labels ...string) {
 	s.tableHits = reg.Counter("itree_rewards_cache_hits_total",
 		"Reward reads served by the commit version's existing reward table.", labels...)
 	s.tableMisses = reg.Counter("itree_rewards_cache_misses_total",
-		"Reward reads that built the commit version's reward table (a full mechanism evaluation each, except under an exact engine with nothing quarantined).", labels...)
+		"Reward reads that built the commit version's reward table (a full mechanism evaluation each, except for TDRM, Geometric and CDRM, whose engine's table costs nothing to build with nothing quarantined).", labels...)
 	s.settleObs = newSettleCounters(reg, labels...)
 }

@@ -121,8 +121,8 @@ func stateFromSnapshot(snap Snapshot) (*journal.State, error) {
 	return st, nil
 }
 
-// adoptState installs a replayed state, rebuilding the incremental
-// engine (if one is configured) over the new tree.
+// adoptState installs a replayed state, rebuilding the reward engine
+// (when the mechanism has one) over the new tree.
 func (s *Server) adoptState(st *journal.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,11 +164,14 @@ func (s *Server) ApplyReplicated(events []journal.Event) error {
 	// Bumped before applying, so a failure part-way still retires the
 	// previous version's reward table.
 	s.version++
-	for _, e := range events {
-		if err := s.applyEventLocked(e); err != nil {
+	for i, e := range events {
+		if err := s.state.Apply(e); err != nil {
+			// The applied prefix stays, so the engine follows it.
+			s.refoldLocked(s.touched(events[:i]))
 			return fmt.Errorf("journal: seq %d: %w", e.Seq, err)
 		}
 	}
+	s.refoldLocked(s.touched(events))
 	return nil
 }
 

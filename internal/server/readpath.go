@@ -3,28 +3,28 @@ package server
 import (
 	"container/heap"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"incentivetree/internal/core"
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/tree"
 )
 
 // rewardTable is the served reward state of one commit version, which
 // the batch producing the version, every read at it, the gauges and
 // settlement all share. The commit version — bumped per applied batch,
-// rollback, quarantine flag, restore and replicated batch — is its
-// only invalidation. A table never changes once built, except for R(T)
+// quarantine flag, restore and replicated batch — is its only
+// invalidation. A table never changes once built, except for R(T)
 // and its name-sorted view, both computed on first use.
 type rewardTable struct {
 	version uint64
 	// rewards is the table as served: quarantined subtrees zeroed. With
-	// an exact engine and nothing quarantined it is the engine's own
-	// slice, which the next write changes in place — after the version
-	// has moved past this table.
+	// an engine and nothing quarantined it is the engine's own slice,
+	// which the next commit changes in place — after the version has
+	// moved past this table.
 	rewards core.Rewards
 	// mask flags, per node id, a withheld payout; nil when nothing is
 	// quarantined.
@@ -103,28 +103,27 @@ func (s *Server) readTableLocked() (*rewardTable, error) {
 	return t, err
 }
 
-// buildTableLocked builds the current version's table. An exact
-// engine's slice is served in place, costing nothing, unless a mask
-// must be applied; otherwise the engine's copy or a full evaluation —
-// both fresh slices — is masked in place.
+// buildTableLocked builds the current version's table. The engine's
+// reward slice is served in place, costing nothing, unless a mask must
+// be applied; then it is copied first. Without an engine the table is
+// a full evaluation, a fresh slice masked in place.
 func (s *Server) buildTableLocked() (*rewardTable, error) {
 	t := &rewardTable{version: s.version}
-	exact, isExact := s.engine.(incremental.ExactEngine)
 	switch {
-	case isExact && len(s.state.Quarantined) == 0:
-		// Readers see a table only under s.mu at its own version, and
-		// every write bumps the version before it releases the lock, so
-		// no reader sees the slice change.
-		t.rewards = exact.Live()
-		return t, nil
-	case s.engine != nil:
-		t.rewards = s.engine.Rewards()
-	default:
+	case s.engine == nil:
 		rewards, err := s.mech.Rewards(s.state.Tree)
 		if err != nil {
 			return nil, err
 		}
 		t.rewards = rewards
+	case len(s.state.Quarantined) == 0:
+		// Readers see a table only under s.mu at its own version, and
+		// every write bumps the version before it releases the lock, so
+		// no reader sees the slice change.
+		t.rewards = s.engine.Rewards()
+		return t, nil
+	default:
+		t.rewards = slices.Clone(s.engine.Rewards())
 	}
 	if len(s.state.Quarantined) > 0 {
 		t.total() // before masking

@@ -33,10 +33,11 @@
 // Rewards are served from one reward table per commit version
 // (readpath.go) that the batch producing the version, participant
 // reads, /v1/rewards, /v1/leaderboard, /v1/stats and the metrics gauges
-// all share, O(1) per participant read. Under TDRM the table is the
-// exact engine's reward slice (internal/incremental): each write
-// refolds only its participant's root path, so a version costs
-// O(path), and O(n) only on a rebuild (open, restore, rollback) or
+// all share, O(1) per participant read. Under TDRM, Geometric and the
+// CDRM family the table is the exact engine's reward slice
+// (internal/incremental): each committed batch refolds the union of
+// its participants' root paths once, so a version costs O(dirty nodes
+// and their fan-out), and O(n) only on a rebuild (open, restore) or
 // while a quarantine mask is applied. Other mechanisms pay one O(n)
 // evaluation per version.
 package server
@@ -65,7 +66,6 @@ type Server struct {
 	journal   *journal.Writer
 	metrics   *obs.Registry // nil = uninstrumented
 	labels    []string      // metric labels from WithMetrics
-	useEngine bool          // WithIncremental requested
 	batching  *ingest.Options
 	committer *ingest.Committer // non-nil iff WithBatching
 	// table holds the reward table of the newest version read or
@@ -95,9 +95,9 @@ type Server struct {
 	// restores and replicated batches; it keys the reward table and,
 	// unlike LastSeq, never moves backwards in-process.
 	version uint64
-	// engine, when non-nil, observes state's tree and maintains rewards
-	// along each write's root path; applyEventLocked notifies it.
-	engine incremental.Engine
+	// engine, when non-nil, observes state's tree and maintains its
+	// rewards; every commit that changes the tree calls Update once.
+	engine *incremental.Engine
 }
 
 // New creates an empty deployment under the mechanism.
@@ -120,28 +120,18 @@ func New(m core.Mechanism, opts ...Option) *Server {
 	return s
 }
 
-// WithIncremental serves Geometric and CDRM-family rewards from an
-// incrementally-maintained engine (internal/incremental): writes cost
-// O(depth) and a version's reward table is a copy of the engine's
-// instead of an O(n) mechanism evaluation. These engines accumulate
-// deltas, so their rewards equal full evaluation only up to
-// floating-point summation order; deployments that need bit-identical
-// reward tables across snapshot recovery should leave this off.
-// Settlement grants from a full evaluation either way. TDRM always
-// gets its exact engine, with or without this option; mechanisms
-// without a local decomposition (L-Pachira) silently keep one full
-// evaluation per version.
-func WithIncremental() Option {
-	return func(s *Server) { s.useEngine = true }
-}
-
 // attachEngine rebuilds the reward engine over the current tree in
-// O(n): always when the mechanism has an exact one (TDRM), and when
-// WithIncremental asked for one that the mechanism admits. Callers
+// O(n), when the mechanism admits one (incremental.ForTree). Callers
 // hold the write lock or own s exclusively.
 func (s *Server) attachEngine() {
-	if s.useEngine || incremental.Exact(s.mech) {
-		s.engine, _ = incremental.ForTree(s.mech, s.state.Tree)
+	s.engine, _ = incremental.ForTree(s.mech, s.state.Tree)
+}
+
+// refoldLocked brings the engine, if any, up to date with the tree
+// nodes one commit changed. Callers hold the write lock.
+func (s *Server) refoldLocked(touched []tree.NodeID) {
+	if s.engine != nil {
+		s.engine.Update(touched)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"incentivetree/internal/core"
-	"incentivetree/internal/incremental"
 	"incentivetree/internal/journal"
 	"incentivetree/internal/obs"
 	"incentivetree/internal/settle"
@@ -161,14 +159,14 @@ func (s *Server) epochSummaryLocked(n uint64) EpochSummary {
 func (s *Server) Settle() (EpochSummary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rewards, err := s.canonicalRewardsLocked()
+	table, _, err := s.tableLocked()
 	if err != nil {
 		return EpochSummary{}, fmt.Errorf("server: settle: %w", err)
 	}
 	nodes := s.state.Tree.Nodes()
 	entries := make([]settle.Entry, 0, len(nodes))
 	for _, u := range nodes {
-		entries = append(entries, settle.Entry{Name: s.state.Tree.Label(u), Reward: rewards.Of(u)})
+		entries = append(entries, settle.Entry{Name: s.state.Tree.Label(u), Reward: table.rewards.Of(u)})
 	}
 	cPrev, carry := s.state.Ledger.AccrualBasis()
 	in := settle.Input{
@@ -191,28 +189,6 @@ func (s *Server) Settle() (EpochSummary, error) {
 		s.settleObs.capped.Add(uint64(stats.Capped))
 	}
 	return s.epochSummaryLocked(ev.Epoch), nil
-}
-
-// canonicalRewardsLocked is the served table as a full evaluation
-// computes it. A delta-accumulating engine's table differs by ulps from
-// one rebuilt after a restart, and settled grants must not depend on
-// crash history, so with such an engine attached this pays one O(n)
-// mechanism evaluation per settle. An exact engine's table is already
-// the full evaluation's.
-func (s *Server) canonicalRewardsLocked() (core.Rewards, error) {
-	if _, exact := s.engine.(incremental.ExactEngine); s.engine == nil || exact {
-		t, _, err := s.tableLocked()
-		if err != nil {
-			return nil, err
-		}
-		return t.rewards, nil
-	}
-	rewards, err := s.mech.Rewards(s.state.Tree)
-	if err != nil {
-		return nil, err
-	}
-	s.maskLocked(rewards)
-	return rewards, nil
 }
 
 // Claim pays out name's share of the given settled epoch (0 means the

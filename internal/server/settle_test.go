@@ -420,12 +420,12 @@ func newHTTPServer(t *testing.T, s *Server) string {
 	return ts.URL
 }
 
-// TestSettleIndependentOfEngineHistory: an incremental engine's
-// delta-accumulated rewards differ by ulps from a rebuilt table, so
-// settlement grants from a full evaluation. A live incremental server,
-// an incremental server restored from its snapshot mid-stream, and a
-// non-incremental server fed the same ops settle bitwise-identical
-// shares.
+// TestSettleIndependentOfEngineHistory: settlement grants from the
+// served table, which the reward engine keeps bitwise a full
+// evaluation's whatever its history. A live server with an engine, one
+// restored from its snapshot mid-stream, and one evaluating the same
+// mechanism in full (fullEval), fed the same ops, settle
+// bitwise-identical shares.
 func TestSettleIndependentOfEngineHistory(t *testing.T) {
 	type op struct {
 		name, sponsor string
@@ -457,11 +457,11 @@ func TestSettleIndependentOfEngineHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, full := New(m, WithIncremental()), New(m)
+			live, full := New(m), New(fullEval{m})
 			var restored *Server
 			for i, o := range ops {
 				if i == len(ops)/2 {
-					restored = New(m, WithIncremental())
+					restored = New(m)
 					if err := restored.RestoreState(live.SnapshotState()); err != nil {
 						t.Fatal(err)
 					}

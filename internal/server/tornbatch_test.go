@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"incentivetree/internal/core"
-	"incentivetree/internal/geometric"
 	"incentivetree/internal/ingest"
 	"incentivetree/internal/journal"
 )
@@ -43,19 +41,11 @@ func (tw *tornWriter) Write(p []byte) (int, error) {
 // replay of the surviving bytes rebuilds a tree byte-identical to the
 // in-memory one — before and after the log is truncated and healed.
 func TestAppendBatchTornWriteReplayIdentity(t *testing.T) {
-	for _, useEngine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", useEngine), func(t *testing.T) {
-			m, err := geometric.Default(core.DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, engine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", engine), func(t *testing.T) {
 			var buf bytes.Buffer
 			tw := &tornWriter{w: &buf}
-			opts := []Option{WithJournal(journal.NewWriter(tw, 1))}
-			if useEngine {
-				opts = append(opts, WithIncremental())
-			}
-			s := New(m, opts...)
+			s := New(engineArm(t, engine), WithJournal(journal.NewWriter(tw, 1)))
 			for _, op := range []ingest.Op{
 				{Kind: ingest.OpJoin, Name: "ada"},
 				{Kind: ingest.OpJoin, Name: "bob", Sponsor: "ada"},

@@ -43,11 +43,10 @@ func (st *Store) Handler() http.Handler {
 
 // createRequest is the wire format of POST /v1/campaigns.
 type createRequest struct {
-	ID          string  `json:"id"`
-	Mechanism   string  `json:"mechanism,omitempty"`
-	Phi         float64 `json:"phi,omitempty"`
-	Fair        float64 `json:"fair,omitempty"`
-	Incremental bool    `json:"incremental,omitempty"`
+	ID        string  `json:"id"`
+	Mechanism string  `json:"mechanism,omitempty"`
+	Phi       float64 `json:"phi,omitempty"`
+	Fair      float64 `json:"fair,omitempty"`
 }
 
 // campaignInfo is the wire format of a campaign summary.
@@ -56,7 +55,6 @@ type campaignInfo struct {
 	Mechanism    string  `json:"mechanism"`
 	Phi          float64 `json:"phi"`
 	Fair         float64 `json:"fair"`
-	Incremental  bool    `json:"incremental,omitempty"`
 	Participants int     `json:"participants"`
 	Contribution float64 `json:"total_contribution"`
 	LastSeq      uint64  `json:"last_seq"`
@@ -73,7 +71,6 @@ func (st *Store) info(c *Campaign) campaignInfo {
 		Mechanism:    c.Meta.Mechanism,
 		Phi:          c.Meta.Params.Phi,
 		Fair:         c.Meta.Params.FairShare,
-		Incremental:  c.Meta.Incremental,
 		Participants: participants,
 		Contribution: contribution,
 		LastSeq:      lastSeq,
@@ -91,10 +88,9 @@ func (st *Store) handleCreate(w http.ResponseWriter, r *http.Request) {
 		params = st.cfg.DefaultParams
 	}
 	c, err := st.Create(Meta{
-		ID:          req.ID,
-		Mechanism:   req.Mechanism,
-		Params:      params,
-		Incremental: req.Incremental,
+		ID:        req.ID,
+		Mechanism: req.Mechanism,
+		Params:    params,
 	})
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})

@@ -148,8 +148,11 @@ type Meta struct {
 	ID          string      `json:"id"`
 	Mechanism   string      `json:"mechanism"`
 	Params      core.Params `json:"params"`
-	Incremental bool        `json:"incremental,omitempty"`
 	CreatedUnix int64       `json:"created_unix,omitempty"`
+	// Deprecated: Incremental is decoded from older meta files and
+	// ignored. Every mechanism that has an exact reward engine (TDRM,
+	// Geometric, CDRM) gets it.
+	Incremental bool `json:"incremental,omitempty"`
 }
 
 // Campaign is one tenant: a server.Server deployment plus its
@@ -453,8 +456,8 @@ func (st *Store) newMechanism(meta Meta) (core.Mechanism, error) {
 }
 
 // serverOptions assembles the per-campaign server options: journal
-// writer (starting at nextSeq), labelled metrics, incremental engine,
-// ingest pipeline.
+// writer (starting at nextSeq), labelled metrics, epoch budget, ingest
+// pipeline.
 func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	var opts []server.Option
 	if c.fw != nil {
@@ -462,9 +465,6 @@ func (st *Store) serverOptions(c *Campaign, nextSeq uint64) []server.Option {
 	}
 	if st.cfg.Metrics != nil {
 		opts = append(opts, server.WithMetrics(st.cfg.Metrics, "campaign", c.Meta.ID))
-	}
-	if c.Meta.Incremental {
-		opts = append(opts, server.WithIncremental())
 	}
 	if st.cfg.EpochBudget != 0 {
 		opts = append(opts, server.WithEpochBudget(st.cfg.EpochBudget))
